@@ -44,6 +44,23 @@ bool g2_in_subgroup(const G2Affine& p) {
   return G2::from_affine(p).mul(FrTag::kModulus).is_identity();
 }
 
+bool g2_in_subgroup_psi(const G2Affine& p) {
+  if (p.infinity) return true;
+  if (!p.on_curve()) return false;
+  static const U256 six_u2 = [] {
+    constexpr unsigned __int128 u = 4965661367192848881ull;  // BN parameter
+    unsigned __int128 v = 6 * u * u;  // 127 bits
+    U256 s;
+    s.w[0] = uint64_t(v);
+    s.w[1] = uint64_t(v >> 64);
+    return s;
+  }();
+  const auto& fc = frobenius_constants();
+  G2Affine psi = G2Affine::from_xy(p.x.conjugate() * fc.twist_x,
+                                   p.y.conjugate() * fc.twist_y);
+  return G2::from_affine(p).mul(six_u2).to_affine() == psi;
+}
+
 void g2_serialize(const G2Affine& p, ByteWriter& w) {
   if (p.infinity) {
     w.u8(0);

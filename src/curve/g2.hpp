@@ -32,4 +32,13 @@ G2 g2_clear_cofactor(const G2& p);
 /// True iff p lies in the r-order subgroup (r * p == identity).
 bool g2_in_subgroup(const G2Affine& p);
 
+/// Same answer as g2_in_subgroup with a 127-bit instead of a 254-bit
+/// multiplication: p is on the curve and psi(p) == [6u^2] p, for psi the
+/// twisted Frobenius. psi satisfies psi^2 - t psi + p = 0 with t = 6u^2 + 1,
+/// so psi(q) = [6u^2] q gives [36u^4 - 6u^2 (6u^2 + 1) + p] q = [r] q = 0,
+/// and r divides #E'(Fp2) once, so q is in G2. Conversely psi acts on G2 as
+/// [p] = [r + 6u^2]. g2_in_subgroup stays as the reference the tests compare
+/// against.
+bool g2_in_subgroup_psi(const G2Affine& p);
+
 }  // namespace bnr

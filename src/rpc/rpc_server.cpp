@@ -1247,55 +1247,14 @@ obs::MetricsSnapshot RpcServer::metrics_snapshot(bool include_traces) const {
   DaemonStats s = snapshot_stats();
   HealthStats h = snapshot_health();
 
-  using obs::MetricKind;
-  auto point = [&m](std::string name, std::string labels, MetricKind kind,
-                    uint64_t value) {
-    m.points.push_back(
-        obs::MetricPoint{std::move(name), std::move(labels), kind, value});
+  auto points = [&m](const auto& stats, const auto& table,
+                     const std::string& labels) {
+    for (const auto& f : table)
+      m.points.push_back({std::string(f.metric), labels, f.kind,
+                          stats.*f.member});
   };
-
-  point("bnr_tenants", "", MetricKind::kGauge, s.tenants);
-  point("bnr_deduped_keys_total", "", MetricKind::kCounter, s.deduped_keys);
-  point("bnr_connections_total", "", MetricKind::kCounter, s.connections);
-  point("bnr_connections_rejected_total", "", MetricKind::kCounter,
-        s.conns_rejected);
-  point("bnr_open_connections", "", MetricKind::kGauge, s.open_connections);
-  point("bnr_frames_in_total", "", MetricKind::kCounter, s.frames_in);
-  point("bnr_protocol_errors_total", "", MetricKind::kCounter,
-        s.protocol_errors);
-  point("bnr_auth_failures_total", "", MetricKind::kCounter, s.auth_failures);
-  point("bnr_cache_hits_total", "", MetricKind::kCounter, s.cache_hits);
-  point("bnr_cache_misses_total", "", MetricKind::kCounter, s.cache_misses);
-  point("bnr_cache_evictions_total", "", MetricKind::kCounter,
-        s.cache_evictions);
-  point("bnr_cache_resident_entries", "", MetricKind::kGauge,
-        s.cache_resident_entries);
-  point("bnr_cache_resident_bytes", "", MetricKind::kGauge,
-        s.cache_resident_bytes);
-  point("bnr_verify_submitted_total", "", MetricKind::kCounter,
-        s.verify_submitted);
-  point("bnr_verify_batches_total", "", MetricKind::kCounter,
-        s.verify_batches);
-  point("bnr_verify_fallbacks_total", "", MetricKind::kCounter,
-        s.verify_fallbacks);
-  point("bnr_verify_accepted_total", "", MetricKind::kCounter,
-        s.verify_accepted);
-  point("bnr_verify_rejected_total", "", MetricKind::kCounter,
-        s.verify_rejected);
-  point("bnr_verify_sheds_total", "", MetricKind::kCounter, s.verify_sheds);
-  point("bnr_verify_errors_total", "", MetricKind::kCounter, s.verify_errors);
-  point("bnr_verify_in_progress", "", MetricKind::kGauge,
-        s.verify_in_progress);
-  point("bnr_combines_total", "", MetricKind::kCounter, s.combines);
-  point("bnr_in_flight", "", MetricKind::kGauge, h.in_flight);
-  point("bnr_in_flight_cap", "", MetricKind::kGauge, h.inflight_cap);
-  point("bnr_queue_depth", "", MetricKind::kGauge, h.queue_depth);
-  point("bnr_busy_inflight_total", "", MetricKind::kCounter, h.busy_inflight);
-  point("bnr_busy_ratelimit_total", "", MetricKind::kCounter,
-        h.busy_ratelimit);
-  point("bnr_shed_arrival_total", "", MetricKind::kCounter, h.shed_arrival);
-  point("bnr_shed_in_service_total", "", MetricKind::kCounter,
-        h.shed_in_service);
+  points(s, kDaemonStatsFields, "");
+  points(h, kHealthFields, "");
 
   for (const threshold::Scheme* scheme : registry_.schemes()) {
     const SchemeStatsRow* row = nullptr;
@@ -1303,19 +1262,7 @@ obs::MetricsSnapshot RpcServer::metrics_snapshot(bool include_traces) const {
       if (r.scheme == uint8_t(scheme->id())) row = &r;
     if (!row) continue;
     std::string lbl = "scheme=\"" + std::string(scheme->name()) + "\"";
-    point("bnr_scheme_tenants", lbl, MetricKind::kGauge, row->tenants);
-    point("bnr_scheme_verify_submitted_total", lbl, MetricKind::kCounter,
-          row->verify_submitted);
-    point("bnr_scheme_verify_accepted_total", lbl, MetricKind::kCounter,
-          row->verify_accepted);
-    point("bnr_scheme_verify_rejected_total", lbl, MetricKind::kCounter,
-          row->verify_rejected);
-    point("bnr_scheme_verify_sheds_total", lbl, MetricKind::kCounter,
-          row->verify_sheds);
-    point("bnr_scheme_verify_errors_total", lbl, MetricKind::kCounter,
-          row->verify_errors);
-    point("bnr_scheme_combines_total", lbl, MetricKind::kCounter,
-          row->combines);
+    points(*row, kSchemeRowFields, lbl);
 
     obs::HistogramSnapshot vlat = verify_->latency(scheme->id());
     if (vlat.count)

@@ -77,9 +77,11 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -183,9 +185,44 @@ struct CombineResult {
   std::vector<uint32_t> cheaters;
 };
 
-/// One scheme's slice of the daemon's counters. Fixed u64 fields in
-/// declaration order on the wire after the u8 scheme id — add new fields at
-/// the END of the row.
+/// One u64 counter of a stats frame as every renderer sees it: the member,
+/// its Prometheus series name and its kind. Each stats struct below is
+/// followed by its table, which lists every counter once, in WIRE order. The
+/// STATS/HEALTH codecs, METRICS and the cluster rollup are loops over these
+/// tables, so a counter is one struct field (appended at the END) plus one
+/// row, and a field without a row fails to compile.
+template <class S>
+struct StatField {
+  uint64_t S::*member;
+  std::string_view metric;
+  obs::MetricKind kind;
+};
+
+template <class S>
+constexpr StatField<S> counter(uint64_t S::*m, std::string_view metric) {
+  return {m, metric, obs::MetricKind::kCounter};
+}
+template <class S>
+constexpr StatField<S> gauge(uint64_t S::*m, std::string_view metric) {
+  return {m, metric, obs::MetricKind::kGauge};
+}
+
+/// No member and no series name twice: with the sizeof check beside each
+/// table, every field then has exactly one row.
+template <class S, size_t N>
+consteval bool distinct_rows(const StatField<S> (&table)[N]) {
+  for (size_t i = 0; i < N; ++i)
+    for (size_t j = i + 1; j < N; ++j)
+      if (table[i].member == table[j].member ||
+          table[i].metric == table[j].metric)
+        return false;
+  return true;
+}
+
+/// One scheme's slice of the daemon's counters: the u8 scheme id, then the
+/// counters of kSchemeRowFields. One STATS frame carries the exact identity
+///   submitted == accepted + rejected + sheds + errors + in_progress
+/// (snapshotted under ONE service lock, so it holds even mid-flight).
 struct SchemeStatsRow {
   uint8_t scheme = 0;  // threshold::SchemeId
   uint64_t tenants = 0;
@@ -198,21 +235,41 @@ struct SchemeStatsRow {
   uint64_t cache_lookups = 0;    // verify+combine groups routed via the cache
   uint64_t cache_misses = 0;     // ... that had to prepare
   uint64_t combines = 0;
-  // PR 9 coherence tail: with these, one STATS frame carries the exact
-  // accounting identity  submitted == accepted + rejected + sheds + errors
-  // + in_progress  (snapshotted under ONE service lock, so it holds even
-  // mid-flight).
   uint64_t verify_sheds = 0;        // in-service deadline sheds (submitted,
                                     // then dropped before their fold ran)
   uint64_t verify_errors = 0;       // completions by exception
   uint64_t verify_in_progress = 0;  // submitted, outcome not yet committed
 };
 
-/// One aggregate stats snapshot over the whole daemon: global fixed u64
-/// fields in declaration order (add at the END), then a row per scheme the
-/// registry serves. The global verify/combine/dedup fields are the sums of
-/// the rows; cache_* report the shared caches, which the rows break down by
-/// scheme via service-observed lookups/misses.
+/// METRICS labels every row's series `scheme="<name>"`.
+inline constexpr StatField<SchemeStatsRow> kSchemeRowFields[] = {
+    gauge(&SchemeStatsRow::tenants, "bnr_scheme_tenants"),
+    counter(&SchemeStatsRow::deduped, "bnr_scheme_deduped_keys_total"),
+    counter(&SchemeStatsRow::verify_submitted,
+            "bnr_scheme_verify_submitted_total"),
+    counter(&SchemeStatsRow::verify_batches, "bnr_scheme_verify_batches_total"),
+    counter(&SchemeStatsRow::verify_fallbacks,
+            "bnr_scheme_verify_fallbacks_total"),
+    counter(&SchemeStatsRow::verify_accepted,
+            "bnr_scheme_verify_accepted_total"),
+    counter(&SchemeStatsRow::verify_rejected,
+            "bnr_scheme_verify_rejected_total"),
+    counter(&SchemeStatsRow::cache_lookups, "bnr_scheme_cache_lookups_total"),
+    counter(&SchemeStatsRow::cache_misses, "bnr_scheme_cache_misses_total"),
+    counter(&SchemeStatsRow::combines, "bnr_scheme_combines_total"),
+    counter(&SchemeStatsRow::verify_sheds, "bnr_scheme_verify_sheds_total"),
+    counter(&SchemeStatsRow::verify_errors, "bnr_scheme_verify_errors_total"),
+    gauge(&SchemeStatsRow::verify_in_progress, "bnr_scheme_verify_in_progress"),
+};
+static_assert(sizeof(SchemeStatsRow) ==
+              sizeof(uint64_t) * (1 + std::size(kSchemeRowFields)));
+static_assert(distinct_rows(kSchemeRowFields));
+
+/// One aggregate stats snapshot over the whole daemon: the global counters
+/// of kDaemonStatsFields, then a row per scheme the registry serves. The
+/// global verify/combine/dedup fields are the sums of the rows; cache_*
+/// report the shared caches, which the rows break down by scheme via
+/// service-observed lookups/misses.
 struct DaemonStats {
   uint64_t tenants = 0;          // registered tenant key-ids
   uint64_t deduped_keys = 0;     // tenants sharing an already-known pk digest
@@ -247,11 +304,40 @@ struct DaemonStats {
   }
 };
 
-/// HEALTH response body: the daemon's overload counters as fixed u64 fields
-/// in declaration order (add new fields at the END). Everything an operator
-/// (or the chaos suite's exact-accounting assertions) needs to attribute
-/// rejected load: how much is in flight right now, how deep the service
-/// queue is, and how many requests each admission-control layer turned away.
+inline constexpr StatField<DaemonStats> kDaemonStatsFields[] = {
+    gauge(&DaemonStats::tenants, "bnr_tenants"),
+    counter(&DaemonStats::deduped_keys, "bnr_deduped_keys_total"),
+    counter(&DaemonStats::connections, "bnr_connections_total"),
+    counter(&DaemonStats::conns_rejected, "bnr_connections_rejected_total"),
+    counter(&DaemonStats::auth_failures, "bnr_auth_failures_total"),
+    counter(&DaemonStats::frames_in, "bnr_frames_in_total"),
+    counter(&DaemonStats::protocol_errors, "bnr_protocol_errors_total"),
+    counter(&DaemonStats::cache_hits, "bnr_cache_hits_total"),
+    counter(&DaemonStats::cache_misses, "bnr_cache_misses_total"),
+    counter(&DaemonStats::cache_evictions, "bnr_cache_evictions_total"),
+    gauge(&DaemonStats::cache_resident_entries, "bnr_cache_resident_entries"),
+    gauge(&DaemonStats::cache_resident_bytes, "bnr_cache_resident_bytes"),
+    counter(&DaemonStats::verify_submitted, "bnr_verify_submitted_total"),
+    counter(&DaemonStats::verify_batches, "bnr_verify_batches_total"),
+    counter(&DaemonStats::verify_fallbacks, "bnr_verify_fallbacks_total"),
+    counter(&DaemonStats::verify_accepted, "bnr_verify_accepted_total"),
+    counter(&DaemonStats::verify_rejected, "bnr_verify_rejected_total"),
+    counter(&DaemonStats::combines, "bnr_combines_total"),
+    gauge(&DaemonStats::open_connections, "bnr_open_connections"),
+    counter(&DaemonStats::verify_sheds, "bnr_verify_sheds_total"),
+    counter(&DaemonStats::verify_errors, "bnr_verify_errors_total"),
+    gauge(&DaemonStats::verify_in_progress, "bnr_verify_in_progress"),
+};
+static_assert(sizeof(DaemonStats) ==
+              sizeof(uint64_t) * std::size(kDaemonStatsFields) +
+                  sizeof(std::vector<SchemeStatsRow>));
+static_assert(distinct_rows(kDaemonStatsFields));
+
+/// HEALTH response body: the daemon's overload counters. Everything an
+/// operator (or the chaos suite's exact-accounting assertions) needs to
+/// attribute rejected load: how much is in flight right now, how deep the
+/// service queue is, and how many requests each admission-control layer
+/// turned away.
 struct HealthStats {
   uint64_t in_flight = 0;       // dispatched into the services, unanswered
   uint64_t inflight_cap = 0;    // configured cap (0 = uncapped)
@@ -261,6 +347,19 @@ struct HealthStats {
   uint64_t shed_arrival = 0;    // SHED: budget already spent at decode time
   uint64_t shed_in_service = 0; // SHED: budget expired before its fold ran
 };
+
+inline constexpr StatField<HealthStats> kHealthFields[] = {
+    gauge(&HealthStats::in_flight, "bnr_in_flight"),
+    gauge(&HealthStats::inflight_cap, "bnr_in_flight_cap"),
+    gauge(&HealthStats::queue_depth, "bnr_queue_depth"),
+    counter(&HealthStats::busy_inflight, "bnr_busy_inflight_total"),
+    counter(&HealthStats::busy_ratelimit, "bnr_busy_ratelimit_total"),
+    counter(&HealthStats::shed_arrival, "bnr_shed_arrival_total"),
+    counter(&HealthStats::shed_in_service, "bnr_shed_in_service_total"),
+};
+static_assert(sizeof(HealthStats) ==
+              sizeof(uint64_t) * std::size(kHealthFields));
+static_assert(distinct_rows(kHealthFields));
 
 // ---------------------------------------------------------------------------
 // Framing
@@ -428,24 +527,11 @@ inline Bytes encode_combine_result(const CombineResult& r) {
 
 inline Bytes encode_stats(const DaemonStats& s) {
   ByteWriter w;
-  for (uint64_t v :
-       {s.tenants, s.deduped_keys, s.connections, s.conns_rejected,
-        s.auth_failures, s.frames_in, s.protocol_errors, s.cache_hits,
-        s.cache_misses, s.cache_evictions, s.cache_resident_entries,
-        s.cache_resident_bytes, s.verify_submitted, s.verify_batches,
-        s.verify_fallbacks, s.verify_accepted, s.verify_rejected, s.combines,
-        s.open_connections, s.verify_sheds, s.verify_errors,
-        s.verify_in_progress})
-    w.u64(v);
+  for (const auto& f : kDaemonStatsFields) w.u64(s.*f.member);
   w.u32(static_cast<uint32_t>(s.schemes.size()));
   for (const auto& r : s.schemes) {
     w.u8(r.scheme);
-    for (uint64_t v :
-         {r.tenants, r.deduped, r.verify_submitted, r.verify_batches,
-          r.verify_fallbacks, r.verify_accepted, r.verify_rejected,
-          r.cache_lookups, r.cache_misses, r.combines, r.verify_sheds,
-          r.verify_errors, r.verify_in_progress})
-      w.u64(v);
+    for (const auto& f : kSchemeRowFields) w.u64(r.*f.member);
   }
   return w.take();
 }
@@ -500,10 +586,7 @@ inline Bytes encode_metrics_snapshot(const obs::MetricsSnapshot& m) {
 
 inline Bytes encode_health(const HealthStats& h) {
   ByteWriter w;
-  for (uint64_t v : {h.in_flight, h.inflight_cap, h.queue_depth,
-                     h.busy_inflight, h.busy_ratelimit, h.shed_arrival,
-                     h.shed_in_service})
-    w.u64(v);
+  for (const auto& f : kHealthFields) w.u64(h.*f.member);
   return w.take();
 }
 
@@ -616,35 +699,20 @@ inline CombineResult decode_combine_result(ByteReader& rd) {
 
 inline HealthStats decode_health(ByteReader& rd) {
   HealthStats h;
-  for (uint64_t* f : {&h.in_flight, &h.inflight_cap, &h.queue_depth,
-                      &h.busy_inflight, &h.busy_ratelimit, &h.shed_arrival,
-                      &h.shed_in_service})
-    *f = rd.u64();
+  for (const auto& f : kHealthFields) h.*f.member = rd.u64();
   return h;
 }
 
 inline DaemonStats decode_stats(ByteReader& rd) {
   DaemonStats s;
-  for (uint64_t* f :
-       {&s.tenants, &s.deduped_keys, &s.connections, &s.conns_rejected,
-        &s.auth_failures, &s.frames_in, &s.protocol_errors, &s.cache_hits,
-        &s.cache_misses, &s.cache_evictions, &s.cache_resident_entries,
-        &s.cache_resident_bytes, &s.verify_submitted, &s.verify_batches,
-        &s.verify_fallbacks, &s.verify_accepted, &s.verify_rejected,
-        &s.combines, &s.open_connections, &s.verify_sheds, &s.verify_errors,
-        &s.verify_in_progress})
-    *f = rd.u64();
-  uint32_t rows = rd.count(105);  // u8 id + 13 u64 fields per row
+  for (const auto& f : kDaemonStatsFields) s.*f.member = rd.u64();
+  // A row is the u8 scheme id plus its u64 counters.
+  uint32_t rows = rd.count(1 + sizeof(uint64_t) * std::size(kSchemeRowFields));
   s.schemes.reserve(rows);
   for (uint32_t j = 0; j < rows; ++j) {
     SchemeStatsRow r;
     r.scheme = rd.u8();
-    for (uint64_t* f :
-         {&r.tenants, &r.deduped, &r.verify_submitted, &r.verify_batches,
-          &r.verify_fallbacks, &r.verify_accepted, &r.verify_rejected,
-          &r.cache_lookups, &r.cache_misses, &r.combines, &r.verify_sheds,
-          &r.verify_errors, &r.verify_in_progress})
-      *f = rd.u64();
+    for (const auto& f : kSchemeRowFields) r.*f.member = rd.u64();
     s.schemes.push_back(r);
   }
   return s;

@@ -61,6 +61,37 @@ std::vector<Part> unerase_partials(SchemeId id,
   return typed;
 }
 
+/// The one validation point for G2 key material crossing the plugin boundary:
+/// every public and verification key a plugin parses passes through here.
+/// g2_deserialize checks only the curve equation and decodes tag 0 to the
+/// identity, so without this a REGISTER could install a key component of
+/// small order, or the identity, for which the RLC batch-soundness argument
+/// (random coefficients over a prime-order group) no longer holds. The check
+/// stays out of g2_deserialize on purpose: DKG decodes every player's G2
+/// commitment broadcast and would pay a multiplication by r for each one.
+void require_key_points(std::span<const G2Affine> points, const char* what) {
+  for (const G2Affine& p : points) {
+    if (p.infinity)
+      throw std::invalid_argument(std::string(what) +
+                                  ": identity key component");
+    if (!g2_in_subgroup_psi(p))
+      throw std::invalid_argument(std::string(what) +
+                                  ": key component outside the G2 subgroup");
+  }
+}
+
+PublicKey ro_public_key(std::span<const uint8_t> data) {
+  PublicKey pk = PublicKey::deserialize(data);
+  require_key_points(pk.g, "PublicKey");
+  return pk;
+}
+
+VerificationKey ro_verification_key(std::span<const uint8_t> data) {
+  VerificationKey vk = VerificationKey::deserialize(data);
+  require_key_points(vk.v, "VerificationKey");
+  return vk;
+}
+
 void check_committee_shape(const Committee& c) {
   if (c.n == 0 || c.t >= c.n)
     throw std::runtime_error("committee: threshold t must be < n");
@@ -110,7 +141,7 @@ class RoPlugin final : public Scheme {
   std::string_view name() const override { return "ro"; }
 
   Bytes canonical_public_key(std::span<const uint8_t> pk) const override {
-    return PublicKey::deserialize(pk).serialize();
+    return ro_public_key(pk).serialize();
   }
   SigHandle parse_signature(std::span<const uint8_t> data) const override {
     return erase_signature(SchemeId::kRo, Signature::deserialize(data));
@@ -130,7 +161,7 @@ class RoPlugin final : public Scheme {
   std::unique_ptr<PreparedVerifier> make_verifier(
       std::span<const uint8_t> pk_bytes) const override {
     return std::make_unique<TypedPreparedVerifier<RoVerifier, Signature>>(
-        SchemeId::kRo, RoVerifier(scheme_, PublicKey::deserialize(pk_bytes)));
+        SchemeId::kRo, RoVerifier(scheme_, ro_public_key(pk_bytes)));
   }
 
   bool supports_combine() const override { return true; }
@@ -141,10 +172,9 @@ class RoPlugin final : public Scheme {
     auto km = std::make_shared<KeyMaterial>();
     km->n = c.n;
     km->t = c.t;
-    km->pk = PublicKey::deserialize(c.pk);
+    km->pk = ro_public_key(c.pk);
     km->vks.reserve(c.vks.size());
-    for (const auto& vk : c.vks)
-      km->vks.push_back(VerificationKey::deserialize(vk));
+    for (const auto& vk : c.vks) km->vks.push_back(ro_verification_key(vk));
     return std::make_unique<RoPreparedCombiner>(
         std::make_shared<const RoCombiner>(scheme_, *km));
   }
@@ -196,6 +226,20 @@ class DlinPreparedCombiner final : public PreparedCombiner {
   std::shared_ptr<const DlinCombiner> c_;
 };
 
+DlinPublicKey dlin_public_key(std::span<const uint8_t> data) {
+  DlinPublicKey pk = DlinPublicKey::deserialize(data);
+  require_key_points(pk.g, "DlinPublicKey");
+  require_key_points(pk.h, "DlinPublicKey");
+  return pk;
+}
+
+DlinVerificationKey dlin_verification_key(std::span<const uint8_t> data) {
+  DlinVerificationKey vk = DlinVerificationKey::deserialize(data);
+  require_key_points(vk.u, "DlinVerificationKey");
+  require_key_points(vk.z, "DlinVerificationKey");
+  return vk;
+}
+
 class DlinPlugin final : public Scheme {
  public:
   explicit DlinPlugin(const SystemParams& params) : scheme_(params) {}
@@ -204,7 +248,7 @@ class DlinPlugin final : public Scheme {
   std::string_view name() const override { return "dlin"; }
 
   Bytes canonical_public_key(std::span<const uint8_t> pk) const override {
-    return DlinPublicKey::deserialize(pk).serialize();
+    return dlin_public_key(pk).serialize();
   }
   SigHandle parse_signature(std::span<const uint8_t> data) const override {
     return erase_signature(SchemeId::kDlin, DlinSignature::deserialize(data));
@@ -229,7 +273,7 @@ class DlinPlugin final : public Scheme {
     return std::make_unique<
         TypedPreparedVerifier<DlinVerifier, DlinSignature>>(
         SchemeId::kDlin,
-        DlinVerifier(scheme_, DlinPublicKey::deserialize(pk_bytes)));
+        DlinVerifier(scheme_, dlin_public_key(pk_bytes)));
   }
 
   bool supports_combine() const override { return true; }
@@ -240,10 +284,9 @@ class DlinPlugin final : public Scheme {
     DlinKeyMaterial km;
     km.n = c.n;
     km.t = c.t;
-    km.pk = DlinPublicKey::deserialize(c.pk);
+    km.pk = dlin_public_key(c.pk);
     km.vks.reserve(c.vks.size());
-    for (const auto& vk : c.vks)
-      km.vks.push_back(DlinVerificationKey::deserialize(vk));
+    for (const auto& vk : c.vks) km.vks.push_back(dlin_verification_key(vk));
     return std::make_unique<DlinPreparedCombiner>(
         std::make_shared<const DlinCombiner>(scheme_, km));
   }
@@ -306,6 +349,13 @@ class AggPreparedCombiner final : public PreparedCombiner {
   size_t n_, t_;
 };
 
+/// The G1 components need no subgroup check: BN254's G1 has cofactor 1.
+AggPublicKey agg_public_key(std::span<const uint8_t> data) {
+  AggPublicKey pk = AggPublicKey::deserialize(data);
+  require_key_points(pk.g, "AggPublicKey");
+  return pk;
+}
+
 class AggPlugin final : public Scheme {
  public:
   explicit AggPlugin(const SystemParams& params) : scheme_(params) {}
@@ -314,7 +364,7 @@ class AggPlugin final : public Scheme {
   std::string_view name() const override { return "agg"; }
 
   Bytes canonical_public_key(std::span<const uint8_t> pk) const override {
-    return AggPublicKey::deserialize(pk).serialize();
+    return agg_public_key(pk).serialize();
   }
   SigHandle parse_signature(std::span<const uint8_t> data) const override {
     return erase_signature(SchemeId::kAgg, Signature::deserialize(data));
@@ -338,7 +388,7 @@ class AggPlugin final : public Scheme {
     // an invalid key caches a verifier that fails fast.
     return std::make_unique<TypedPreparedVerifier<AggVerifier, Signature>>(
         SchemeId::kAgg,
-        AggVerifier(scheme_, AggPublicKey::deserialize(pk_bytes)));
+        AggVerifier(scheme_, agg_public_key(pk_bytes)));
   }
 
   bool supports_combine() const override { return true; }
@@ -348,10 +398,9 @@ class AggPlugin final : public Scheme {
     check_committee_shape(c);
     std::vector<VerificationKey> vks;
     vks.reserve(c.vks.size());
-    for (const auto& vk : c.vks)
-      vks.push_back(VerificationKey::deserialize(vk));
+    for (const auto& vk : c.vks) vks.push_back(ro_verification_key(vk));
     return std::make_unique<AggPreparedCombiner>(
-        scheme_, AggPublicKey::deserialize(c.pk), std::move(vks), c.n, c.t);
+        scheme_, agg_public_key(c.pk), std::move(vks), c.n, c.t);
   }
 
   SchemeSample make_sample(size_t n, size_t t, std::span<const uint8_t> msg,
@@ -393,6 +442,15 @@ BlsPartialSignature bls_partial_deserialize(std::span<const uint8_t> data) {
   p.index = rd.u32();
   p.sigma = g1_deserialize(rd);
   expect_done(rd, "BlsPartialSignature");
+  return p;
+}
+
+/// A BLS public or verification key: one compressed G2 point.
+G2Affine bls_key(std::span<const uint8_t> data, const char* what) {
+  ByteReader rd(data);
+  G2Affine p = g2_deserialize(rd);
+  expect_done(rd, what);
+  require_key_points({&p, 1}, what);
   return p;
 }
 
@@ -453,12 +511,7 @@ class BlsPlugin final : public Scheme {
   std::string_view name() const override { return "bls"; }
 
   Bytes canonical_public_key(std::span<const uint8_t> pk) const override {
-    ByteReader rd(pk);
-    G2Affine p = g2_deserialize(rd);
-    expect_done(rd, "BlsPublicKey");
-    ByteWriter w;
-    g2_serialize(p, w);
-    return w.take();
+    return g2_to_bytes(bls_key(pk, "BlsPublicKey"));
   }
   SigHandle parse_signature(std::span<const uint8_t> data) const override {
     ByteReader rd(data);
@@ -483,9 +536,7 @@ class BlsPlugin final : public Scheme {
 
   std::unique_ptr<PreparedVerifier> make_verifier(
       std::span<const uint8_t> pk_bytes) const override {
-    ByteReader rd(pk_bytes);
-    BlsPublicKey pk{g2_deserialize(rd)};
-    expect_done(rd, "BlsPublicKey");
+    BlsPublicKey pk{bls_key(pk_bytes, "BlsPublicKey")};
     return std::make_unique<TypedPreparedVerifier<BlsVerifier, G1Affine>>(
         SchemeId::kBls, BlsVerifier(scheme_, pk));
   }
@@ -498,17 +549,10 @@ class BlsPlugin final : public Scheme {
     BlsKeyMaterial km;
     km.n = c.n;
     km.t = c.t;
-    {
-      ByteReader rd(c.pk);
-      km.pk.pk = g2_deserialize(rd);
-      expect_done(rd, "BlsPublicKey");
-    }
+    km.pk.pk = bls_key(c.pk, "BlsPublicKey");
     km.vks.reserve(c.vks.size());
-    for (const auto& vk : c.vks) {
-      ByteReader rd(vk);
-      km.vks.push_back(g2_deserialize(rd));
-      expect_done(rd, "BlsVerificationKey");
-    }
+    for (const auto& vk : c.vks)
+      km.vks.push_back(bls_key(vk, "BlsVerificationKey"));
     return std::make_unique<BlsPreparedCombiner>(scheme_, std::move(km));
   }
 

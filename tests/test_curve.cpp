@@ -163,6 +163,32 @@ TEST(G2, ClearCofactorLandsInSubgroup) {
   }
 }
 
+// The psi-based membership test agrees with the r * p reference on the
+// identity, on G2 points, and on twist points outside G2 (points straight
+// from an x coordinate, before cofactor clearing, are almost never in G2).
+TEST(G2, PsiSubgroupTestMatchesReference) {
+  EXPECT_TRUE(g2_in_subgroup_psi(G2Affine::identity()));
+  Rng rng("g2-psi");
+  for (int i = 0; i < 8; ++i) {
+    G2Affine q = G2::generator().mul(Fr::random(rng)).to_affine();
+    EXPECT_TRUE(g2_in_subgroup(q));
+    EXPECT_TRUE(g2_in_subgroup_psi(q));
+  }
+  int outside = 0;
+  for (uint64_t k = 1; k < 60; ++k) {
+    Fp2 x{Fp::from_u64(k), Fp::from_u64(7)};
+    auto y = (x.squared() * x + G2Curve::coeff_b()).sqrt();
+    if (!y) continue;
+    G2Affine p = G2Affine::from_xy(x, *y);
+    EXPECT_EQ(g2_in_subgroup_psi(p), g2_in_subgroup(p)) << "x.c0 = " << k;
+    outside += g2_in_subgroup(p) ? 0 : 1;
+    // The cofactor-cleared point is in G2 under both tests.
+    G2Affine cleared = g2_clear_cofactor(G2::from_affine(p)).to_affine();
+    EXPECT_TRUE(g2_in_subgroup_psi(cleared)) << "x.c0 = " << k;
+  }
+  EXPECT_GT(outside, 10);
+}
+
 TEST(Msm, MatchesNaiveSum) {
   Rng rng("msm");
   std::vector<G1> points;

@@ -211,6 +211,31 @@ TEST(WireOverload, RejectionAndHealthRoundTrip) {
   EXPECT_EQ(out.shed_in_service, 7u);
 }
 
+// The HEALTH body byte for byte, pinned as captured before the counters were
+// rendered from tables: a reorder that changed encode and decode together
+// would pass the round trip above, not this.
+TEST(WireOverload, HealthBodyMatchesGoldenBytes) {
+  HealthStats in;
+  in.in_flight = 0x4001;
+  in.inflight_cap = 0x4002;
+  in.queue_depth = 0x4003;
+  in.busy_inflight = 0x4004;
+  in.busy_ratelimit = 0x4005;
+  in.shed_arrival = 0x4006;
+  in.shed_in_service = 0xfedcba9876543210ull;
+  const std::string golden =
+      "0000000000004001000000000000400200000000000040030000000000004004"
+      "00000000000040050000000000004006fedcba9876543210";
+  EXPECT_EQ(to_hex(encode_health(in)), golden);
+
+  Bytes wire = from_hex(golden);
+  ByteReader rd(wire);
+  HealthStats out = decode_health(rd);
+  EXPECT_TRUE(rd.empty());
+  EXPECT_EQ(to_hex(encode_health(out)), golden);
+  EXPECT_EQ(out.shed_in_service, 0xfedcba9876543210ull);
+}
+
 // ---------------------------------------------------------------------------
 // Live-daemon fixture with per-test server configs
 

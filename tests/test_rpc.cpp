@@ -164,6 +164,84 @@ TEST(Wire, StatsRoundTrip) {
   EXPECT_EQ(d.scheme_row(SchemeId::kBls).verify_submitted, 0u);
 }
 
+// The STATS body byte for byte, pinned as captured before the counters were
+// rendered from tables. A round trip alone would pass a reorder that changed
+// encode and decode together; the golden hex proves wire compatibility.
+// Every field holds a distinct value, so a swap of any two shows.
+TEST(Wire, StatsBodyMatchesGoldenBytes) {
+  DaemonStats s;
+  s.tenants = 0x1001;
+  s.deduped_keys = 0x1002;
+  s.connections = 0x1003;
+  s.conns_rejected = 0x1004;
+  s.auth_failures = 0x1005;
+  s.frames_in = 0x1006;
+  s.protocol_errors = 0x1007;
+  s.cache_hits = 0x1008;
+  s.cache_misses = 0x1009;
+  s.cache_evictions = 0x100a;
+  s.cache_resident_entries = 0x100b;
+  s.cache_resident_bytes = 0x0123456789abcdefull;
+  s.verify_submitted = 0x100d;
+  s.verify_batches = 0x100e;
+  s.verify_fallbacks = 0x100f;
+  s.verify_accepted = 0x1010;
+  s.verify_rejected = 0x1011;
+  s.combines = 0x1012;
+  s.open_connections = 0x1013;
+  s.verify_sheds = 0x1014;
+  s.verify_errors = 0x1015;
+  s.verify_in_progress = 0x1016;
+  for (uint64_t base : {0x2000u, 0x3000u}) {
+    SchemeStatsRow r;
+    r.scheme = static_cast<uint8_t>(base == 0x2000 ? SchemeId::kRo
+                                                   : SchemeId::kDlin);
+    r.tenants = base + 1;
+    r.deduped = base + 2;
+    r.verify_submitted = base + 3;
+    r.verify_batches = base + 4;
+    r.verify_fallbacks = base + 5;
+    r.verify_accepted = base + 6;
+    r.verify_rejected = base + 7;
+    r.cache_lookups = base + 8;
+    r.cache_misses = base + 9;
+    r.combines = base + 10;
+    r.verify_sheds = base + 11;
+    r.verify_errors = base + 12;
+    r.verify_in_progress = base + 13;
+    s.schemes.push_back(r);
+  }
+  const std::string golden =
+      "0000000000001001000000000000100200000000000010030000000000001004"
+      "0000000000001005000000000000100600000000000010070000000000001008"
+      "0000000000001009000000000000100a000000000000100b0123456789abcdef"
+      "000000000000100d000000000000100e000000000000100f0000000000001010"
+      "0000000000001011000000000000101200000000000010130000000000001014"
+      "00000000000010150000000000001016"
+      "00000002"
+      "01"
+      "0000000000002001000000000000200200000000000020030000000000002004"
+      "0000000000002005000000000000200600000000000020070000000000002008"
+      "0000000000002009000000000000200a000000000000200b000000000000200c"
+      "000000000000200d"
+      "02"
+      "0000000000003001000000000000300200000000000030030000000000003004"
+      "0000000000003005000000000000300600000000000030070000000000003008"
+      "0000000000003009000000000000300a000000000000300b000000000000300c"
+      "000000000000300d";
+  EXPECT_EQ(to_hex(encode_stats(s)), golden);
+
+  // Decoding the golden bytes lands every value back in its own field:
+  // encode is pinned above and injective, so re-encoding proves it.
+  Bytes wire = from_hex(golden);
+  ByteReader rd(wire);
+  DaemonStats d = decode_stats(rd);
+  EXPECT_TRUE(rd.empty());
+  EXPECT_EQ(to_hex(encode_stats(d)), golden);
+  EXPECT_EQ(d.verify_in_progress, 0x1016u);
+  EXPECT_EQ(d.scheme_row(SchemeId::kDlin).verify_in_progress, 0x300du);
+}
+
 TEST(Wire, TruncatedBodiesThrow) {
   VerifyRequest v{"tenant", to_bytes("message"), to_bytes("signature")};
   Bytes enc = encode_verify(1, v);
@@ -1104,6 +1182,27 @@ TEST_F(RpcDaemonTest, StatsIdentityHoldsInEverySnapshotUnderLoad) {
                   row.verify_errors + row.verify_in_progress)
         << "poll " << poll;
   }
+  // The same identity on METRICS scrapes, per scheme label: the per-scheme
+  // series carry every term of it, in_progress included.
+  for (int poll = 0; poll < 20; ++poll) {
+    auto m = probe.metrics_sync(0);
+    size_t schemes = 0;
+    for (const auto& p : m.points) {
+      if (p.name != "bnr_scheme_verify_submitted_total") continue;
+      ++schemes;
+      uint64_t rhs = 0;
+      for (const char* term :
+           {"bnr_scheme_verify_accepted_total",
+            "bnr_scheme_verify_rejected_total", "bnr_scheme_verify_sheds_total",
+            "bnr_scheme_verify_errors_total", "bnr_scheme_verify_in_progress"}) {
+        const obs::MetricPoint* t = m.find_point(term, p.labels);
+        ASSERT_NE(t, nullptr) << term << "{" << p.labels << "}";
+        rhs += t->value;
+      }
+      ASSERT_EQ(p.value, rhs) << p.labels << " poll " << poll;
+    }
+    EXPECT_EQ(schemes, kSchemeIdCount) << "poll " << poll;
+  }
   stop.store(true);
   load.join();
 
@@ -1112,6 +1211,113 @@ TEST_F(RpcDaemonTest, StatsIdentityHoldsInEverySnapshotUnderLoad) {
   EXPECT_EQ(st.verify_in_progress, 0u);
   EXPECT_EQ(st.verify_submitted, st.verify_accepted + st.verify_rejected +
                                      st.verify_sheds + st.verify_errors);
+}
+
+// METRICS renders every stats table: each field of DaemonStats, HealthStats
+// and every SchemeStatsRow appears under its series name and kind with the
+// value STATS/HEALTH report, and every point the daemon exported before the
+// counters were rendered from tables is still exported.
+TEST_F(RpcDaemonTest, MetricsRendersEveryStatsTableField) {
+  auto km = keygen(3, 1);
+  RpcClient client("127.0.0.1", port());
+  EXPECT_FALSE(client.register_ro_committee("acme", km).get());
+  EXPECT_TRUE(client.register_ro_committee("alias", km).get());
+  auto [msg, sig] = make_signed(km, "parity");
+  EXPECT_TRUE(client.verify_sync("acme", msg, sig));
+  EXPECT_FALSE(client.verify_sync("alias", msg, forge(sig)));
+  Bytes m2 = to_bytes("parity combine");
+  (void)client.combine_sync("acme", m2, first_partials(km, m2));
+
+  // The daemon is idle once the replies are in; read until two snapshots
+  // around the METRICS render agree, so the render saw the same values.
+  DaemonStats st;
+  HealthStats h;
+  obs::MetricsSnapshot m;
+  for (int tries = 0; tries < 100; ++tries) {
+    st = server_->snapshot_stats();
+    h = server_->snapshot_health();
+    m = server_->metrics_snapshot(false);
+    if (encode_stats(st) == encode_stats(server_->snapshot_stats()) &&
+        encode_health(h) == encode_health(server_->snapshot_health()))
+      break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GT(st.scheme_row(SchemeId::kRo).deduped, 0u);
+
+  size_t expected_points = 0;
+  auto expect_table = [&](const auto& stats, const auto& table,
+                          const std::string& labels) {
+    for (const auto& f : table) {
+      const obs::MetricPoint* p = m.find_point(f.metric, labels);
+      ASSERT_NE(p, nullptr) << f.metric << "{" << labels << "}";
+      EXPECT_EQ(p->kind, f.kind) << f.metric;
+      EXPECT_EQ(p->value, stats.*f.member) << f.metric << "{" << labels << "}";
+      ++expected_points;
+    }
+  };
+  expect_table(st, kDaemonStatsFields, "");
+  expect_table(h, kHealthFields, "");
+  ASSERT_EQ(st.schemes.size(), kSchemeIdCount);
+  for (const auto& row : st.schemes)
+    expect_table(row, kSchemeRowFields,
+                 "scheme=\"" +
+                     std::string(scheme_id_name(SchemeId(row.scheme))) + "\"");
+  EXPECT_EQ(m.points.size(), expected_points);
+
+  // The points the hand-written renderer emitted, name and kind.
+  using K = obs::MetricKind;
+  const std::pair<const char*, K> legacy[] = {
+      {"bnr_tenants", K::kGauge},
+      {"bnr_deduped_keys_total", K::kCounter},
+      {"bnr_connections_total", K::kCounter},
+      {"bnr_connections_rejected_total", K::kCounter},
+      {"bnr_open_connections", K::kGauge},
+      {"bnr_frames_in_total", K::kCounter},
+      {"bnr_protocol_errors_total", K::kCounter},
+      {"bnr_auth_failures_total", K::kCounter},
+      {"bnr_cache_hits_total", K::kCounter},
+      {"bnr_cache_misses_total", K::kCounter},
+      {"bnr_cache_evictions_total", K::kCounter},
+      {"bnr_cache_resident_entries", K::kGauge},
+      {"bnr_cache_resident_bytes", K::kGauge},
+      {"bnr_verify_submitted_total", K::kCounter},
+      {"bnr_verify_batches_total", K::kCounter},
+      {"bnr_verify_fallbacks_total", K::kCounter},
+      {"bnr_verify_accepted_total", K::kCounter},
+      {"bnr_verify_rejected_total", K::kCounter},
+      {"bnr_verify_sheds_total", K::kCounter},
+      {"bnr_verify_errors_total", K::kCounter},
+      {"bnr_verify_in_progress", K::kGauge},
+      {"bnr_combines_total", K::kCounter},
+      {"bnr_in_flight", K::kGauge},
+      {"bnr_in_flight_cap", K::kGauge},
+      {"bnr_queue_depth", K::kGauge},
+      {"bnr_busy_inflight_total", K::kCounter},
+      {"bnr_busy_ratelimit_total", K::kCounter},
+      {"bnr_shed_arrival_total", K::kCounter},
+      {"bnr_shed_in_service_total", K::kCounter},
+  };
+  const std::pair<const char*, K> legacy_scheme[] = {
+      {"bnr_scheme_tenants", K::kGauge},
+      {"bnr_scheme_verify_submitted_total", K::kCounter},
+      {"bnr_scheme_verify_accepted_total", K::kCounter},
+      {"bnr_scheme_verify_rejected_total", K::kCounter},
+      {"bnr_scheme_verify_sheds_total", K::kCounter},
+      {"bnr_scheme_verify_errors_total", K::kCounter},
+      {"bnr_scheme_combines_total", K::kCounter},
+  };
+  for (const auto& [name, kind] : legacy) {
+    const obs::MetricPoint* p = m.find_point(name);
+    ASSERT_NE(p, nullptr) << name;
+    EXPECT_EQ(p->kind, kind) << name;
+  }
+  for (const char* scheme_name : {"ro", "dlin", "agg", "bls"})
+    for (const auto& [name, kind] : legacy_scheme) {
+      std::string lbl = std::string("scheme=\"") + scheme_name + "\"";
+      const obs::MetricPoint* p = m.find_point(name, lbl);
+      ASSERT_NE(p, nullptr) << name << "{" << lbl << "}";
+      EXPECT_EQ(p->kind, kind) << name;
+    }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "curve/g2.hpp"
 #include "threshold/scheme_registry.hpp"
 
 namespace bnr {
@@ -202,6 +203,57 @@ TEST_F(SchemeApiTest, MalformedCommitteesRejectedEveryScheme) {
     c = m.sample.committee;
     c.pk.pop_back();  // malformed public key
     EXPECT_THROW(m.scheme->make_combiner(c), std::exception);
+  }
+}
+
+/// A point of the twist E'(Fp2) outside the r-order subgroup, compressed:
+/// g2_deserialize accepts it (it checks only the curve equation),
+/// g2_in_subgroup does not.
+Bytes non_subgroup_g2() {
+  for (uint64_t k = 1;; ++k) {
+    Fp2 x{Fp::from_u64(k), Fp::from_u64(1)};
+    auto y = (x.squared() * x + G2Curve::coeff_b()).sqrt();
+    if (!y) continue;
+    G2Affine p = G2Affine::from_xy(x, *y);
+    if (!g2_in_subgroup(p)) return g2_to_bytes(p);
+  }
+}
+
+// Every plugin's public and verification keys start with a compressed G2
+// point (tag + x, 65 bytes), and verification keys are G2 points
+// throughout. A key whose first or last G2 component is the identity, or a
+// curve point outside the r-order subgroup, must be refused on every parse
+// path: canonical_public_key (REGISTER), make_verifier and make_combiner.
+TEST_F(SchemeApiTest, IdentityAndNonSubgroupKeysRejectedEveryScheme) {
+  const Bytes outside = non_subgroup_g2();
+  ASSERT_EQ(outside.size(), 65u);
+  ASSERT_FALSE(g2_in_subgroup(g2_from_bytes(outside)));
+  const Bytes identity = g2_to_bytes(G2Affine::identity());
+  auto with_component = [](Bytes key, size_t offset, const Bytes& point) {
+    std::copy(point.begin(), point.end(), key.begin() + offset);
+    return key;
+  };
+
+  for (const auto& m : materials()) {
+    SCOPED_TRACE(std::string(m.scheme->name()));
+    const Committee& good = m.sample.committee;
+    for (const Bytes* bad : {&outside, &identity}) {
+      SCOPED_TRACE(bad == &identity ? "identity" : "outside the subgroup");
+      Bytes pk = with_component(good.pk, 0, *bad);
+      EXPECT_THROW(m.scheme->canonical_public_key(pk), std::invalid_argument);
+      EXPECT_THROW(m.scheme->make_verifier(pk), std::invalid_argument);
+      Committee c = good;
+      c.pk = pk;
+      EXPECT_THROW(m.scheme->make_combiner(c), std::invalid_argument);
+
+      const Bytes& vk = good.vks.back();
+      for (size_t offset : {size_t(0), vk.size() - 65}) {
+        c = good;
+        c.vks.back() = with_component(vk, offset, *bad);
+        EXPECT_THROW(m.scheme->make_combiner(c), std::invalid_argument)
+            << "vk component at byte " << offset;
+      }
+    }
   }
 }
 
