@@ -12,6 +12,8 @@
 #include <cstring>
 #include <limits>
 #include <system_error>
+#include <type_traits>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "rpc/fault_injector.hpp"
@@ -46,18 +48,6 @@ int connect_tcp(const std::string& host, uint16_t port) {
   return fd;
 }
 
-/// set_exception on an already-satisfied promise must not crash the reader:
-/// a handler that threw mid-parse AFTER resolving would otherwise turn one
-/// bad frame into std::terminate.
-template <typename T>
-void settle_exception(const std::shared_ptr<std::promise<T>>& prom,
-                      std::exception_ptr e) {
-  try {
-    prom->set_exception(std::move(e));
-  } catch (const std::future_error&) {
-  }
-}
-
 }  // namespace
 
 RpcClient::RpcClient(const std::string& host, uint16_t port, ClientConfig cfg)
@@ -74,14 +64,6 @@ RpcClient::RpcClient(const std::string& host, uint16_t port, ClientConfig cfg)
   keeper_ = std::thread([this] { keeper_loop(); });
   reader_ = std::thread([this] { reader_loop(); });
 }
-
-RpcClient::RpcClient(const std::string& host, uint16_t port,
-                     uint32_t max_frame)
-    : RpcClient(host, port, [max_frame] {
-        ClientConfig c;
-        c.max_frame = max_frame;
-        return c;
-      }()) {}
 
 RpcClient::~RpcClient() { close(); }
 
@@ -137,10 +119,8 @@ std::chrono::milliseconds RpcClient::backoff_for(uint32_t attempts) {
       static_cast<long long>(double(base) * jitter(rng_)));
 }
 
-void RpcClient::enqueue(
-    Method m, bool idempotent,
-    std::function<Bytes(uint64_t, std::optional<uint32_t>)> encode,
-    PendingHandler handler, const RequestOptions& opts) {
+void RpcClient::enqueue(Method m, bool idempotent, Encoder encode,
+                        PendingHandler handler, const RequestOptions& opts) {
   auto call = std::make_shared<Call>();
   call->encode = std::move(encode);
   call->handler = std::move(handler);
@@ -577,46 +557,119 @@ void RpcClient::keeper_loop() {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Request fronts. Each builds (promise, handler) and enqueues; handler.ok
-// must consume the body EXACTLY (trailing bytes are a protocol violation
-// surfaced by the throw in handle_response).
 
-std::future<void> RpcClient::ping(RequestOptions opts) {
-  auto prom = std::make_shared<std::promise<void>>();
+// ---------------------------------------------------------------------------
+// The call core and the request fronts over it. Each front names its
+// encoder (holding the request, so a retry re-encodes it under a fresh id)
+// and its body decoder, which must consume the body EXACTLY: trailing bytes
+// are a protocol violation surfaced by the throw in handle_response.
+
+template <class T>
+void RpcClient::call(Method m, bool idempotent, Encoder encode,
+                     std::function<T(ByteReader&)> decode,
+                     std::function<void(T*, std::exception_ptr)> done,
+                     const RequestOptions& opts) {
+  // Whichever half runs first takes `done`, so a throw escaping the callback
+  // (read by handle_response as a failed response) cannot complete twice.
+  auto once =
+      std::make_shared<std::function<void(T*, std::exception_ptr)>>(
+          std::move(done));
+  PendingHandler h;
+  h.ok = [decode = std::move(decode), once](ByteReader& rd) {
+    if constexpr (std::is_void_v<T>) {
+      decode(rd);
+      if (auto fire = std::exchange(*once, nullptr)) fire(nullptr, nullptr);
+    } else {
+      T value = decode(rd);
+      if (auto fire = std::exchange(*once, nullptr)) fire(&value, nullptr);
+    }
+  };
+  h.fail = [once](std::exception_ptr e) {
+    if (auto fire = std::exchange(*once, nullptr)) fire(nullptr, std::move(e));
+  };
+  enqueue(m, idempotent, std::move(encode), std::move(h), opts);
+}
+
+template <class T>
+std::future<T> RpcClient::ask(Method m, bool idempotent, Encoder encode,
+                              std::function<T(ByteReader&)> decode,
+                              const RequestOptions& opts) {
+  auto prom = std::make_shared<std::promise<T>>();
   auto fut = prom->get_future();
-  enqueue(Method::kPing, true,
-          [](uint64_t id, std::optional<uint32_t> b) {
-            return encode_empty_request(Method::kPing, id, b);
+  call<T>(m, idempotent, std::move(encode), std::move(decode),
+          [prom](T* value, std::exception_ptr err) {
+            if (err)
+              prom->set_exception(std::move(err));
+            else if constexpr (std::is_void_v<T>)
+              prom->set_value();
+            else
+              prom->set_value(std::move(*value));
           },
-          {[prom](ByteReader& rd) {
-             expect_frame_done(rd, "PING response");
-             prom->set_value();
-           },
-           [prom](std::exception_ptr e) { settle_exception(prom, e); }},
           opts);
   return fut;
 }
 
+namespace {
+
+auto empty_request(Method m) {
+  return [m](uint64_t id, std::optional<uint32_t> b) {
+    return encode_empty_request(m, id, b);
+  };
+}
+
+auto verify_request(const std::string& key, Bytes msg, Bytes sig) {
+  auto req = std::make_shared<VerifyRequest>(
+      VerifyRequest{key, std::move(msg), std::move(sig)});
+  return [req](uint64_t id, std::optional<uint32_t> b) {
+    return encode_verify(id, *req, b);
+  };
+}
+
+bool read_verdict(ByteReader& rd) {
+  bool ok = rd.u8() != 0;
+  expect_frame_done(rd, "VERIFY response");
+  return ok;
+}
+
+auto combine_request(const std::string& key, Bytes msg,
+                     std::vector<Bytes> partials) {
+  auto req = std::make_shared<CombineRequest>(
+      CombineRequest{key, std::move(msg), std::move(partials)});
+  return [req](uint64_t id, std::optional<uint32_t> b) {
+    return encode_combine(id, *req, b);
+  };
+}
+
+CombineResult read_combine(ByteReader& rd) {
+  CombineResult r = decode_combine_result(rd);
+  expect_frame_done(rd, "COMBINE response");
+  return r;
+}
+
+}  // namespace
+
+std::future<void> RpcClient::ping(RequestOptions opts) {
+  return ask<void>(
+      Method::kPing, true, empty_request(Method::kPing),
+      [](ByteReader& rd) { expect_frame_done(rd, "PING response"); }, opts);
+}
+
 std::future<bool> RpcClient::register_tenant(RegisterTenantRequest req) {
   req.token = admin_token_;
-  auto prom = std::make_shared<std::promise<bool>>();
-  auto fut = prom->get_future();
   auto shared = std::make_shared<RegisterTenantRequest>(std::move(req));
   // Registration is NOT marked idempotent: it is only resent when the frame
   // never hit the wire (a BUSY cannot happen — it is an admin method).
-  enqueue(Method::kRegisterTenant, false,
-          [shared](uint64_t id, std::optional<uint32_t>) {
-            return encode_register(id, *shared);
-          },
-          {[prom](ByteReader& rd) {
-             bool deduped = rd.u8() != 0;
-             expect_frame_done(rd, "REGISTER response");
-             prom->set_value(deduped);
-           },
-           [prom](std::exception_ptr e) { settle_exception(prom, e); }},
-          {});
-  return fut;
+  return ask<bool>(
+      Method::kRegisterTenant, false,
+      [shared](uint64_t id, std::optional<uint32_t>) {
+        return encode_register(id, *shared);
+      },
+      [](ByteReader& rd) {
+        bool deduped = rd.u8() != 0;
+        expect_frame_done(rd, "REGISTER response");
+        return deduped;
+      },
+      {});
 }
 
 std::future<bool> RpcClient::register_key(const std::string& key,
@@ -659,77 +712,48 @@ std::future<bool> RpcClient::register_ro_committee(
   return register_committee(key, threshold::SchemeId::kRo, c);
 }
 
-std::future<bool> RpcClient::register_dlin_key(
-    const std::string& key, const threshold::DlinPublicKey& pk) {
-  return register_key(key, threshold::SchemeId::kDlin, pk.serialize());
-}
-
 std::future<bool> RpcClient::verify_bytes(const std::string& key, Bytes msg,
                                           Bytes sig_bytes,
                                           RequestOptions opts) {
-  auto prom = std::make_shared<std::promise<bool>>();
-  auto fut = prom->get_future();
-  auto req = std::make_shared<VerifyRequest>(
-      VerifyRequest{key, std::move(msg), std::move(sig_bytes)});
-  enqueue(Method::kVerify, true,
-          [req](uint64_t id, std::optional<uint32_t> b) {
-            return encode_verify(id, *req, b);
-          },
-          {[prom](ByteReader& rd) {
-             bool ok = rd.u8() != 0;
-             expect_frame_done(rd, "VERIFY response");
-             prom->set_value(ok);
-           },
-           [prom](std::exception_ptr e) { settle_exception(prom, e); }},
-          opts);
-  return fut;
+  return ask<bool>(Method::kVerify, true,
+                   verify_request(key, std::move(msg), std::move(sig_bytes)),
+                   read_verdict, opts);
 }
 
 void RpcClient::verify_async(
     const std::string& key, Bytes msg, Bytes sig_bytes,
     std::function<void(bool ok, std::exception_ptr err)> cb,
     RequestOptions opts) {
-  auto req = std::make_shared<VerifyRequest>(
-      VerifyRequest{key, std::move(msg), std::move(sig_bytes)});
-  auto shared_cb = std::make_shared<decltype(cb)>(std::move(cb));
-  enqueue(Method::kVerify, true,
-          [req](uint64_t id, std::optional<uint32_t> b) {
-            return encode_verify(id, *req, b);
-          },
-          {[shared_cb](ByteReader& rd) {
-             bool ok = rd.u8() != 0;
-             expect_frame_done(rd, "VERIFY response");
-             (*shared_cb)(ok, nullptr);
-           },
-           [shared_cb](std::exception_ptr e) { (*shared_cb)(false, e); }},
-          opts);
+  call<bool>(Method::kVerify, true,
+             verify_request(key, std::move(msg), std::move(sig_bytes)),
+             read_verdict,
+             [cb = std::move(cb)](bool* ok, std::exception_ptr err) {
+               cb(ok && *ok, std::move(err));
+             },
+             opts);
 }
 
 std::future<std::vector<bool>> RpcClient::batch_verify_bytes(
     const std::string& key, std::vector<std::pair<Bytes, Bytes>> items,
     RequestOptions opts) {
-  auto prom = std::make_shared<std::promise<std::vector<bool>>>();
-  auto fut = prom->get_future();
-  auto req = std::make_shared<BatchVerifyRequest>();
-  req->key = key;
-  req->items = std::move(items);
+  auto req = std::make_shared<BatchVerifyRequest>(
+      BatchVerifyRequest{key, std::move(items)});
   const size_t expect = req->items.size();
-  enqueue(Method::kBatchVerify, true,
-          [req](uint64_t id, std::optional<uint32_t> b) {
-            return encode_batch_verify(id, *req, b);
-          },
-          {[prom, expect](ByteReader& rd) {
-             uint32_t n = rd.count(1);
-             if (n != expect)
-               throw ProtocolError("BATCH_VERIFY result count mismatch");
-             std::vector<bool> out(n);
-             for (uint32_t j = 0; j < n; ++j) out[j] = rd.u8() != 0;
-             expect_frame_done(rd, "BATCH_VERIFY response");
-             prom->set_value(std::move(out));
-           },
-           [prom](std::exception_ptr e) { settle_exception(prom, e); }},
-          opts);
-  return fut;
+  return ask<std::vector<bool>>(
+      Method::kBatchVerify, true,
+      [req](uint64_t id, std::optional<uint32_t> b) {
+        return encode_batch_verify(id, *req, b);
+      },
+      [expect](ByteReader& rd) {
+        uint32_t n = rd.count(1);
+        if (n != expect)
+          throw ProtocolError("BATCH_VERIFY result count mismatch");
+        std::vector<bool> out(n);
+        for (uint32_t j = 0; j < n; ++j) out[j] = rd.u8() != 0;
+        expect_frame_done(rd, "BATCH_VERIFY response");
+        return out;
+      },
+      opts);
 }
 
 std::future<std::vector<bool>> RpcClient::batch_verify(
@@ -742,113 +766,80 @@ std::future<std::vector<bool>> RpcClient::batch_verify(
   return batch_verify_bytes(key, std::move(raw), opts);
 }
 
+// COMBINE mutates nothing server-side but its cost is real; it is resent
+// only when the frame never hit the wire (or after a BUSY, which is always
+// pre-work).
 std::future<CombineResult> RpcClient::combine_bytes(const std::string& key,
                                                     Bytes msg,
                                                     std::vector<Bytes> partials,
                                                     RequestOptions opts) {
-  auto prom = std::make_shared<std::promise<CombineResult>>();
-  auto fut = prom->get_future();
-  auto req = std::make_shared<CombineRequest>();
-  req->key = key;
-  req->msg = std::move(msg);
-  req->partials = std::move(partials);
-  // COMBINE mutates nothing server-side but its cost is real; it is resent
-  // only when the frame never hit the wire (or after a BUSY, which is
-  // always pre-work).
-  enqueue(Method::kCombine, false,
-          [req](uint64_t id, std::optional<uint32_t> b) {
-            return encode_combine(id, *req, b);
-          },
-          {[prom](ByteReader& rd) {
-             CombineResult r = decode_combine_result(rd);
-             expect_frame_done(rd, "COMBINE response");
-             prom->set_value(std::move(r));
-           },
-           [prom](std::exception_ptr e) { settle_exception(prom, e); }},
-          opts);
-  return fut;
+  return ask<CombineResult>(
+      Method::kCombine, false,
+      combine_request(key, std::move(msg), std::move(partials)), read_combine,
+      opts);
 }
 
-std::future<CombineResult> RpcClient::combine_raw(
-    const std::string& key, Bytes msg,
-    std::span<const threshold::PartialSignature> parts, RequestOptions opts) {
-  std::vector<Bytes> partials;
-  partials.reserve(parts.size());
-  for (const auto& p : parts) partials.push_back(p.serialize());
-  return combine_bytes(key, std::move(msg), std::move(partials), opts);
+void RpcClient::combine_async(
+    const std::string& key, Bytes msg, std::vector<Bytes> partials,
+    std::function<void(CombineResult* result, std::exception_ptr err)> cb,
+    RequestOptions opts) {
+  call<CombineResult>(
+      Method::kCombine, false,
+      combine_request(key, std::move(msg), std::move(partials)), read_combine,
+      std::move(cb), opts);
 }
 
 std::future<DaemonStats> RpcClient::stats(RequestOptions opts) {
-  auto prom = std::make_shared<std::promise<DaemonStats>>();
-  auto fut = prom->get_future();
-  enqueue(Method::kStats, true,
-          [](uint64_t id, std::optional<uint32_t> b) {
-            return encode_empty_request(Method::kStats, id, b);
-          },
-          {[prom](ByteReader& rd) {
-             DaemonStats s = decode_stats(rd);
-             expect_frame_done(rd, "STATS response");
-             prom->set_value(s);
-           },
-           [prom](std::exception_ptr e) { settle_exception(prom, e); }},
-          opts);
-  return fut;
+  return ask<DaemonStats>(Method::kStats, true, empty_request(Method::kStats),
+                          [](ByteReader& rd) {
+                            DaemonStats s = decode_stats(rd);
+                            expect_frame_done(rd, "STATS response");
+                            return s;
+                          },
+                          opts);
 }
 
 std::future<HealthStats> RpcClient::health(RequestOptions opts) {
-  auto prom = std::make_shared<std::promise<HealthStats>>();
-  auto fut = prom->get_future();
-  enqueue(Method::kHealth, true,
-          [](uint64_t id, std::optional<uint32_t> b) {
-            return encode_empty_request(Method::kHealth, id, b);
-          },
-          {[prom](ByteReader& rd) {
-             HealthStats h = decode_health(rd);
-             expect_frame_done(rd, "HEALTH response");
-             prom->set_value(h);
-           },
-           [prom](std::exception_ptr e) { settle_exception(prom, e); }},
-          opts);
-  return fut;
+  return ask<HealthStats>(Method::kHealth, true,
+                          empty_request(Method::kHealth),
+                          [](ByteReader& rd) {
+                            HealthStats h = decode_health(rd);
+                            expect_frame_done(rd, "HEALTH response");
+                            return h;
+                          },
+                          opts);
 }
 
 std::future<obs::MetricsSnapshot> RpcClient::metrics(uint8_t flags,
                                                      RequestOptions opts) {
-  auto prom = std::make_shared<std::promise<obs::MetricsSnapshot>>();
-  auto fut = prom->get_future();
   // The text bit selects the server-side rendering; this front always wants
   // the structured body (metrics_text() is the rendered front).
   flags &= ~kMetricsText;
-  enqueue(Method::kMetrics, true,
-          [flags](uint64_t id, std::optional<uint32_t> b) {
-            return encode_metrics_request(id, flags, b);
-          },
-          {[prom](ByteReader& rd) {
-             obs::MetricsSnapshot m = decode_metrics_snapshot(rd);
-             expect_frame_done(rd, "METRICS response");
-             prom->set_value(std::move(m));
-           },
-           [prom](std::exception_ptr e) { settle_exception(prom, e); }},
-          opts);
-  return fut;
+  return ask<obs::MetricsSnapshot>(
+      Method::kMetrics, true,
+      [flags](uint64_t id, std::optional<uint32_t> b) {
+        return encode_metrics_request(id, flags, b);
+      },
+      [](ByteReader& rd) {
+        obs::MetricsSnapshot m = decode_metrics_snapshot(rd);
+        expect_frame_done(rd, "METRICS response");
+        return m;
+      },
+      opts);
 }
 
 std::future<std::string> RpcClient::metrics_text(RequestOptions opts) {
-  auto prom = std::make_shared<std::promise<std::string>>();
-  auto fut = prom->get_future();
-  enqueue(Method::kMetrics, true,
-          [](uint64_t id, std::optional<uint32_t> b) {
-            return encode_metrics_request(id, kMetricsText | kMetricsTraces,
-                                          b);
-          },
-          {[prom](ByteReader& rd) {
-             std::string text = decode_str(rd);
-             expect_frame_done(rd, "METRICS text response");
-             prom->set_value(std::move(text));
-           },
-           [prom](std::exception_ptr e) { settle_exception(prom, e); }},
-          opts);
-  return fut;
+  return ask<std::string>(
+      Method::kMetrics, true,
+      [](uint64_t id, std::optional<uint32_t> b) {
+        return encode_metrics_request(id, kMetricsText | kMetricsTraces, b);
+      },
+      [](ByteReader& rd) {
+        std::string text = decode_str(rd);
+        expect_frame_done(rd, "METRICS text response");
+        return text;
+      },
+      opts);
 }
 
 }  // namespace bnr::rpc

@@ -43,7 +43,7 @@
 // The client is SCHEME-AGNOSTIC like the wire: the byte-level fronts
 // (register_key / register_committee / verify_bytes / combine_bytes) speak
 // opaque scheme-serialized blobs and work for every scheme the daemon's
-// registry serves; the typed RO/DLIN conveniences below them are kept for
+// registry serves; the typed RO conveniences below them are kept for
 // callers holding concrete scheme objects.
 #pragma once
 
@@ -54,6 +54,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <random>
 #include <span>
 #include <string>
@@ -63,7 +64,6 @@
 #include <vector>
 
 #include "rpc/wire.hpp"
-#include "threshold/dlin_scheme.hpp"
 #include "threshold/ro_scheme.hpp"
 #include "threshold/scheme_api.hpp"
 
@@ -132,8 +132,6 @@ class RpcClient {
   /// Connects (blocking) to `host:port`; throws std::system_error on
   /// failure. `host` is a dotted quad or "localhost".
   RpcClient(const std::string& host, uint16_t port, ClientConfig cfg = {});
-  /// Back-compat front for callers that only tune the frame cap.
-  RpcClient(const std::string& host, uint16_t port, uint32_t max_frame);
 
   /// Equivalent to close().
   ~RpcClient();
@@ -183,6 +181,13 @@ class RpcClient {
   std::future<CombineResult> combine_bytes(const std::string& key, Bytes msg,
                                            std::vector<Bytes> partials,
                                            RequestOptions opts = {});
+  /// Callback front of combine_bytes, like verify_async: exactly one
+  /// invocation on a background thread, with the result (null on failure)
+  /// or the error (null on success).
+  void combine_async(
+      const std::string& key, Bytes msg, std::vector<Bytes> partials,
+      std::function<void(CombineResult* result, std::exception_ptr err)> cb,
+      RequestOptions opts = {});
 
   std::future<DaemonStats> stats(RequestOptions opts = {});
   /// The daemon's overload counters (in-flight, queue depth, BUSY/SHED
@@ -203,30 +208,15 @@ class RpcClient {
                                     const threshold::PublicKey& pk);
   std::future<bool> register_ro_committee(const std::string& key,
                                           const threshold::KeyMaterial& km);
-  std::future<bool> register_dlin_key(const std::string& key,
-                                      const threshold::DlinPublicKey& pk);
 
   std::future<bool> verify(const std::string& key, Bytes msg,
                            const threshold::Signature& sig,
                            RequestOptions opts = {}) {
     return verify_bytes(key, std::move(msg), sig.serialize(), opts);
   }
-  std::future<bool> verify_dlin(const std::string& key, Bytes msg,
-                                const threshold::DlinSignature& sig,
-                                RequestOptions opts = {}) {
-    return verify_bytes(key, std::move(msg), sig.serialize(), opts);
-  }
   std::future<std::vector<bool>> batch_verify(
       const std::string& key,
       std::span<const std::pair<Bytes, threshold::Signature>> items,
-      RequestOptions opts = {});
-
-  /// Combine: the future resolves to the combined signature (cheater indices
-  /// via the outparam overload below); RpcError when the committee cannot
-  /// reach t+1 valid shares.
-  std::future<CombineResult> combine_raw(
-      const std::string& key, Bytes msg,
-      std::span<const threshold::PartialSignature> parts,
       RequestOptions opts = {});
 
   // -- Synchronous conveniences ---------------------------------------------
@@ -235,11 +225,17 @@ class RpcClient {
                    const threshold::Signature& sig, RequestOptions opts = {}) {
     return verify(key, std::move(msg), sig, opts).get();
   }
+  /// Combine over the wire; RpcError when the committee cannot reach t+1
+  /// valid shares. Cheater indices land in `cheaters` when given.
   threshold::Signature combine_sync(
       const std::string& key, Bytes msg,
       std::span<const threshold::PartialSignature> parts,
       std::vector<uint32_t>* cheaters = nullptr) {
-    CombineResult r = combine_raw(key, std::move(msg), parts).get();
+    std::vector<Bytes> partials;
+    partials.reserve(parts.size());
+    for (const auto& p : parts) partials.push_back(p.serialize());
+    CombineResult r =
+        combine_bytes(key, std::move(msg), std::move(partials)).get();
     if (cheaters) *cheaters = r.cheaters;
     return threshold::Signature::deserialize(r.sig);
   }
@@ -258,22 +254,23 @@ class RpcClient {
 
   ClientStats client_stats() const;
 
+ private:
+  using Clock = std::chrono::steady_clock;
+  /// Encodes one attempt under its request id and remaining budget.
+  using Encoder =
+      std::function<Bytes(uint64_t id, std::optional<uint32_t> budget_ms)>;
+
   // Response handler for one outstanding request: exactly one of the two
-  // callbacks runs, on a background thread. Public only for the .cpp's
-  // internal helpers; not part of the caller-facing API.
+  // callbacks runs, on a background thread.
   struct PendingHandler {
     std::function<void(ByteReader&)> ok;  // body reader -> resolve
     std::function<void(std::exception_ptr)> fail;
   };
 
- private:
-  using Clock = std::chrono::steady_clock;
-
   /// One request's whole retry lifecycle. The encode closure is kept so a
   /// retry can re-encode under a fresh id and an updated deadline budget.
   struct Call {
-    std::function<Bytes(uint64_t id, std::optional<uint32_t> budget_ms)>
-        encode;
+    Encoder encode;
     PendingHandler handler;
     Method method{};
     bool idempotent = false;
@@ -287,9 +284,22 @@ class RpcClient {
   };
   using CallPtr = std::shared_ptr<Call>;
 
-  void enqueue(Method m, bool idempotent,
-               std::function<Bytes(uint64_t, std::optional<uint32_t>)> encode,
+  void enqueue(Method m, bool idempotent, Encoder encode,
                PendingHandler handler, const RequestOptions& opts);
+  /// The one call core behind every front. `decode` reads an OK body into
+  /// a T, consuming it exactly (a throw there is a malformed response);
+  /// `done` then runs with the value, or with the error on any failure —
+  /// exactly once either way.
+  template <class T>
+  void call(Method m, bool idempotent, Encoder encode,
+            std::function<T(ByteReader&)> decode,
+            std::function<void(T*, std::exception_ptr)> done,
+            const RequestOptions& opts);
+  /// call() resolving a future.
+  template <class T>
+  std::future<T> ask(Method m, bool idempotent, Encoder encode,
+                     std::function<T(ByteReader&)> decode,
+                     const RequestOptions& opts);
   /// Registration helper shared by the register_* fronts (stamps the admin
   /// token into the request).
   std::future<bool> register_tenant(RegisterTenantRequest req);

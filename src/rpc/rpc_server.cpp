@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <future>
 #include <system_error>
 #include <thread>
 
@@ -261,11 +262,11 @@ RpcServer::RpcServer(ServerConfig cfg, service::ThreadPool& pool)
 
 RpcServer::~RpcServer() {
   stop_.store(true, std::memory_order_release);
-  // Offloaded decode tasks hold raw references to the services; wait for
+  // Dispatched pool tasks hold raw references to the services; wait for
   // them to land first (the pool keeps running — it outlives the server).
   {
-    std::unique_lock<std::mutex> l(decode_m_);
-    decode_cv_.wait(l, [&] { return decode_inflight_ == 0; });
+    std::unique_lock<std::mutex> l(tasks_m_);
+    tasks_cv_.wait(l, [&] { return tasks_inflight_ == 0; });
   }
   // Services next (they drain every pool task, whose completions land
   // harmlessly in the per-loop queues against dead weak pointers), then the
@@ -291,26 +292,23 @@ void RpcServer::wake(IoLoop& L) {
 }
 
 void RpcServer::run() {
-  std::mutex err_m;
-  std::exception_ptr err;
-  auto drive = [&](IoLoop& L) {
+  auto drive = [this](IoLoop& L) {
     try {
       event_loop(L);
     } catch (...) {
-      {
-        std::lock_guard<std::mutex> l(err_m);
-        if (!err) err = std::current_exception();
-      }
       stop();  // one loop dying takes the rest down through the drain path
+      throw;
     }
   };
-  std::vector<std::thread> extra;
+  // std::async futures join in their destructors, so a throw from loop 0
+  // still waits for the others; get() rethrows an extra loop's exception.
+  std::vector<std::future<void>> extra;
   extra.reserve(loops_.size() - 1);
   for (size_t i = 1; i < loops_.size(); ++i)
-    extra.emplace_back([&, i] { drive(*loops_[i]); });
+    extra.push_back(
+        std::async(std::launch::async, drive, std::ref(*loops_[i])));
   drive(*loops_[0]);
-  for (auto& t : extra) t.join();
-  if (err) std::rethrow_exception(err);
+  for (auto& f : extra) f.get();
 }
 
 void RpcServer::event_loop(IoLoop& L) {
@@ -665,18 +663,6 @@ void RpcServer::drain_completions(IoLoop& L) {
       send_now(c, std::move(comp.payload), std::move(comp.trace));
 }
 
-void RpcServer::offload(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> l(decode_m_);
-    ++decode_inflight_;
-  }
-  pool_.submit([this, fn = std::move(fn)] {
-    fn();
-    std::lock_guard<std::mutex> l(decode_m_);
-    if (--decode_inflight_ == 0) decode_cv_.notify_all();
-  });
-}
-
 // Token-bucket + in-flight-cap admission for one data-plane request.
 // Rejections are BUSY — attributable and retryable, never a teardown: under
 // overload the one thing the daemon must NOT do is make clients guess
@@ -718,12 +704,77 @@ bool RpcServer::admit(IoLoop& L, const std::shared_ptr<Conn>& c, uint64_t id,
   return true;
 }
 
+const threshold::Scheme* RpcServer::tenant_scheme(const std::string& key,
+                                                  bool combine) const {
+  std::lock_guard<std::mutex> l(reg_m_);
+  auto it = tenants_.find(key);
+  if (it == tenants_.end() || (combine && !it->second.combine_capable))
+    return nullptr;
+  return &registry_.at(it->second.scheme);
+}
+
+void RpcServer::dispatch(IoLoop& L, const std::shared_ptr<Conn>& c,
+                         uint64_t id, const Route& route,
+                         std::shared_ptr<obs::RequestTrace> trace, Work work) {
+  const threshold::Scheme* scheme = nullptr;
+  if (route.tenant) {
+    if (!admit(L, c, id, route.cost)) return;
+    if (trace) trace->stamp(obs::Stage::kAdmitted);
+    scheme = tenant_scheme(*route.tenant, route.combine);
+    if (!scheme) {
+      send_now(c, encode_error(id, (route.combine
+                                        ? "not a combine-capable tenant: "
+                                        : "unknown tenant: ") +
+                                       *route.tenant));
+      return;
+    }
+  }
+  in_flight_.fetch_add(1, std::memory_order_acq_rel);
+  {
+    std::lock_guard<std::mutex> l(tasks_m_);
+    ++tasks_inflight_;
+  }
+  pool_.submit([this, r = Reply{this, c, id, scheme, std::move(trace)},
+                work = std::move(work)] {
+    try {
+      work(r);
+    } catch (...) {
+      // A blob that does not parse inside a well-formed frame (or a key
+      // REGISTER refuses) is the REQUEST's fault: attributable, not a close.
+      r.fail(std::current_exception());
+    }
+    std::lock_guard<std::mutex> l(tasks_m_);
+    if (--tasks_inflight_ == 0) tasks_cv_.notify_all();
+  });
+}
+
+void RpcServer::Reply::ok(std::span<const uint8_t> body) const {
+  server->complete(conn, encode_ok(id, body), trace);
+}
+
+void RpcServer::Reply::fail(std::exception_ptr err) const {
+  Bytes resp;
+  try {
+    std::rethrow_exception(err);
+  } catch (const service::DeadlineShed& e) {
+    // The service dropped it before paying a pairing: SHED on the wire, so
+    // the client knows a retry of the same budget is pointless.
+    resp = encode_rejection(id, Status::kShed, e.what());
+  } catch (const std::exception& e) {
+    resp = encode_error(id, e.what());
+  } catch (...) {
+    resp = encode_error(id, "request failed");
+  }
+  server->complete(conn, std::move(resp), trace);
+}
+
 bool RpcServer::handle_frame(IoLoop& L, const std::shared_ptr<Conn>& c,
                              std::span<const uint8_t> payload) {
   if (auto* f = FaultInjector::active()) f->on_frame();
   try {
     ByteReader rd(payload);
     RequestHeader h = decode_request_header(rd);
+    const uint64_t id = h.request_id;
     // A request that arrives with its deadline budget already spent is shed
     // HERE — before admission control, before any decode of the body's
     // crypto blobs: no cycle of work for a response nobody is waiting for.
@@ -735,9 +786,9 @@ bool RpcServer::handle_frame(IoLoop& L, const std::shared_ptr<Conn>& c,
         L.shed_arrival.fetch_add(1, std::memory_order_relaxed);
         L.frames_in.fetch_add(1, std::memory_order_relaxed);
         BNR_LOG(obs::LogLevel::kInfo, "rpc", "shed_arrival",
-                obs::kv("request_id", h.request_id) +
+                obs::kv("request_id", id) +
                     obs::kv("method", uint64_t(h.method)));
-        send_now(c, encode_rejection(h.request_id, Status::kShed,
+        send_now(c, encode_rejection(id, Status::kShed,
                                      "deadline budget spent on arrival"));
         return true;
       }
@@ -753,21 +804,24 @@ bool RpcServer::handle_frame(IoLoop& L, const std::shared_ptr<Conn>& c,
                       h.method == Method::kBatchVerify ||
                       h.method == Method::kCombine;
     if (data_plane && obs::enabled())
-      trace = std::make_shared<obs::RequestTrace>(h.request_id,
-                                                  uint8_t(h.method));
+      trace = std::make_shared<obs::RequestTrace>(id, uint8_t(h.method));
+    // REGISTER and the data-plane methods split their body here (cheap, and
+    // a malformed frame must close the connection synchronously); the work
+    // each hands to dispatch() runs on the pool: parse the blobs, submit,
+    // encode the OK body.
     switch (h.method) {
       case Method::kPing:
         expect_frame_done(rd, "PING");
-        send_now(c, encode_ok(h.request_id));
+        send_now(c, encode_ok(id));
         break;
       case Method::kStats: {
         expect_frame_done(rd, "STATS");
-        send_now(c, encode_ok(h.request_id, encode_stats(snapshot_stats())));
+        send_now(c, encode_ok(id, encode_stats(snapshot_stats())));
         break;
       }
       case Method::kHealth: {
         expect_frame_done(rd, "HEALTH");
-        send_now(c, encode_ok(h.request_id, encode_health(snapshot_health())));
+        send_now(c, encode_ok(id, encode_health(snapshot_health())));
         break;
       }
       case Method::kMetrics: {
@@ -784,37 +838,127 @@ bool RpcServer::handle_frame(IoLoop& L, const std::shared_ptr<Conn>& c,
         } else {
           body = encode_metrics_snapshot(m);
         }
-        send_now(c, encode_ok(h.request_id, body));
+        send_now(c, encode_ok(id, body));
         break;
       }
-      case Method::kRegisterTenant:
-        handle_register(c, h.request_id, rd);
-        break;
-      case Method::kVerify: {
-        VerifyRequest req = decode_verify(rd);
-        if (admit(L, c, h.request_id, 1)) {
-          if (trace) trace->stamp(obs::Stage::kAdmitted);
-          dispatch_verify(c, h.request_id, std::move(req), deadline,
-                          std::move(trace));
+      case Method::kRegisterTenant: {
+        auto req =
+            std::make_shared<RegisterTenantRequest>(decode_register(rd));
+        // ADMIN auth on the loop (a hash, not crypto). A wrong token is
+        // attributable (ERROR response, counted), never a protocol
+        // violation — closing would tell a prober nothing it cannot
+        // already see.
+        if (!cfg_.admin_token.empty() &&
+            !constant_time_token_equal(req->token, cfg_.admin_token)) {
+          auth_failures_.fetch_add(1, std::memory_order_relaxed);
+          BNR_LOG(obs::LogLevel::kWarn, "rpc", "auth_failure",
+                  obs::kv("request_id", id) + obs::kv("tenant", req->key));
+          send_now(c, encode_error(id, "unauthorized: bad admin token"));
+          break;
         }
+        dispatch(L, c, id, {}, nullptr, [this, req](const Reply& r) {
+          const threshold::Scheme* scheme =
+              registry_.find(static_cast<threshold::SchemeId>(req->scheme));
+          if (!scheme)
+            throw RpcError("unknown scheme id " + std::to_string(req->scheme));
+          // Parse + canonicalize the public key, subgroup checks included.
+          uint8_t deduped = publish_tenant(
+              *req, *scheme, scheme->canonical_public_key(req->pk));
+          r.ok({&deduped, 1});
+        });
+        break;
+      }
+      case Method::kVerify: {
+        auto req = std::make_shared<VerifyRequest>(decode_verify(rd));
+        dispatch(L, c, id, {&req->key}, std::move(trace),
+                 [this, req, deadline](const Reply& r) {
+          // The tenant's registered scheme parses the opaque blob, so the
+          // erased handle and its prepared verifier are the same scheme by
+          // construction.
+          threshold::SigHandle sig = r.scheme->parse_signature(req->sig);
+          if (r.trace) r.trace->stamp(obs::Stage::kDecoded);
+          verify_->submit(
+              req->key, std::move(req->msg), std::move(sig),
+              [r](bool ok, std::exception_ptr err) {
+                if (err) return r.fail(err);
+                uint8_t verdict = ok ? 1 : 0;
+                r.ok({&verdict, 1});
+              },
+              deadline, r.trace);
+        });
         break;
       }
       case Method::kBatchVerify: {
-        BatchVerifyRequest req = decode_batch_verify(rd);
-        if (admit(L, c, h.request_id,
-                  std::max(1.0, double(req.items.size())))) {
-          if (trace) trace->stamp(obs::Stage::kAdmitted);
-          dispatch_batch_verify(c, h.request_id, std::move(req), deadline,
-                                std::move(trace));
-        }
+        auto req =
+            std::make_shared<BatchVerifyRequest>(decode_batch_verify(rd));
+        double cost = std::max(1.0, double(req->items.size()));
+        dispatch(L, c, id, {&req->key, false, cost}, std::move(trace),
+                 [this, req, deadline](const Reply& r) {
+          // Each item folds into the tenant's per-flush batches like any
+          // other submission and settles once; the LAST to settle answers.
+          // `outstanding` starts one above the item count — this task's own
+          // share, released once every item is staged — so no early verdict
+          // answers while later items are still being parsed, and an empty
+          // batch still answers. The batch shares ONE trace.
+          struct Batch {
+            std::mutex m;
+            std::vector<uint8_t> verdicts;
+            size_t outstanding = 0;
+            std::exception_ptr error;  // the first failure answers the batch
+          };
+          const size_t n = req->items.size();
+          auto b = std::make_shared<Batch>();
+          b->verdicts.assign(n, 0);
+          b->outstanding = n + 1;
+          auto settle = [r, b](size_t j, bool ok, std::exception_ptr err) {
+            {
+              std::lock_guard<std::mutex> l(b->m);
+              if (j < b->verdicts.size()) b->verdicts[j] = ok && !err;
+              if (err && !b->error) b->error = err;
+              if (--b->outstanding > 0) return;
+            }
+            if (b->error) return r.fail(b->error);
+            ByteWriter w;
+            w.u32(static_cast<uint32_t>(b->verdicts.size()));
+            w.raw(b->verdicts);
+            r.ok(w.bytes());
+          };
+          if (r.trace) r.trace->stamp(obs::Stage::kDecoded);
+          for (size_t j = 0; j < n; ++j) {
+            try {
+              threshold::SigHandle sig =
+                  r.scheme->parse_signature(req->items[j].second);
+              verify_->submit(
+                  req->key, std::move(req->items[j].first), std::move(sig),
+                  [settle, j](bool ok, std::exception_ptr err) {
+                    settle(j, ok, err);
+                  },
+                  deadline, r.trace);
+            } catch (const std::exception&) {
+              settle(j, false, nullptr);  // malformed: a 0, never submitted
+            }
+          }
+          settle(n, false, nullptr);
+        });
         break;
       }
       case Method::kCombine: {
-        CombineRequest req = decode_combine(rd);
-        if (admit(L, c, h.request_id, 1)) {
-          if (trace) trace->stamp(obs::Stage::kAdmitted);
-          dispatch_combine(c, h.request_id, std::move(req), std::move(trace));
-        }
+        auto req = std::make_shared<CombineRequest>(decode_combine(rd));
+        dispatch(L, c, id, {&req->key, true}, std::move(trace),
+                 [this, req](const Reply& r) {
+          std::vector<threshold::PartialHandle> parts;
+          parts.reserve(req->partials.size());
+          for (const auto& p : req->partials)
+            parts.push_back(r.scheme->parse_partial(p));
+          if (r.trace) r.trace->stamp(obs::Stage::kDecoded);
+          combine_->submit(
+              req->key, r.scheme->id(), std::move(req->msg), std::move(parts),
+              [r](service::CombineOutcome* out, std::exception_ptr err) {
+                if (err) return r.fail(err);
+                r.ok(encode_combine_result({out->sig, out->cheaters}));
+              },
+              r.trace);
+        });
         break;
       }
     }
@@ -827,316 +971,57 @@ bool RpcServer::handle_frame(IoLoop& L, const std::shared_ptr<Conn>& c,
   }
 }
 
-void RpcServer::handle_register(const std::shared_ptr<Conn>& c, uint64_t id,
-                                ByteReader& rd) {
-  RegisterTenantRequest req = decode_register(rd);  // throws -> close
-  // From here on the frame is well-formed. ADMIN auth first: a wrong token
-  // is attributable (ERROR response, counted), never a protocol violation —
-  // closing would tell a prober nothing it cannot already see.
-  if (!cfg_.admin_token.empty() &&
-      !constant_time_token_equal(req.token, cfg_.admin_token)) {
-    auth_failures_.fetch_add(1, std::memory_order_relaxed);
-    BNR_LOG(obs::LogLevel::kWarn, "rpc", "auth_failure",
-            obs::kv("request_id", id) + obs::kv("tenant", req.key));
-    send_now(c, encode_error(id, "unauthorized: bad admin token"));
-    return;
+bool RpcServer::publish_tenant(RegisterTenantRequest& req,
+                               const threshold::Scheme& scheme, Bytes pk) {
+  // The digest of the CANONICAL bytes is the shared cache key, so every
+  // tenant of the same pk (and scheme) lands on one prepared entry
+  // regardless of who registered first.
+  std::string digest = std::string(scheme.name()) + ":" + hex_digest(pk);
+  std::string committee_digest;
+  std::shared_ptr<const threshold::Committee> committee;
+  if (req.committee) {
+    if (!scheme.supports_combine())
+      throw RpcError(std::string(scheme.name()) +
+                     ": scheme does not support serving-side combine");
+    auto cm = std::make_shared<threshold::Committee>();
+    cm->pk = pk;
+    cm->n = req.n;
+    cm->t = req.t;
+    cm->vks = std::move(req.vks);
+    // Committee-level dedup: identical full material shares one prepared
+    // combiner. Verification keys are parsed lazily by make_combiner on the
+    // first COMBINE miss (a malformed vk then fails that request
+    // attributably, never the daemon).
+    Sha256 hs;
+    hs.update(pk);
+    ByteWriter nt;
+    nt.u32(cm->n);
+    nt.u32(cm->t);
+    hs.update(nt.bytes());
+    for (const auto& vk : cm->vks) hs.update(vk);
+    committee_digest =
+        std::string(scheme.name()) + ":committee:" + to_hex(hs.finalize());
+    committee = std::move(cm);
   }
-  // Key-material problems are the REQUEST's fault and get an attributable
-  // ERROR response instead of a disconnect.
-  try {
-    const threshold::Scheme* scheme =
-        registry_.find(static_cast<threshold::SchemeId>(req.scheme));
-    if (!scheme)
-      throw RpcError("unknown scheme id " + std::to_string(req.scheme));
 
-    // Parse + canonicalize the public key; the digest of the CANONICAL
-    // bytes is the shared cache key, so every tenant of the same pk (and
-    // scheme) lands on one prepared entry regardless of who registered
-    // first.
-    Bytes pk = scheme->canonical_public_key(req.pk);
-    std::string digest =
-        std::string(scheme->name()) + ":" + hex_digest(pk);
-
-    TenantInfo info{scheme->id(), req.committee};
-    std::string committee_digest;
-    std::shared_ptr<const threshold::Committee> committee;
-    if (req.committee) {
-      if (!scheme->supports_combine())
-        throw RpcError(std::string(scheme->name()) +
-                       ": scheme does not support serving-side combine");
-      auto cm = std::make_shared<threshold::Committee>();
-      cm->pk = pk;
-      cm->n = req.n;
-      cm->t = req.t;
-      cm->vks = std::move(req.vks);
-      // Committee-level dedup: identical full material shares one prepared
-      // combiner. Verification keys are parsed lazily by make_combiner on
-      // the first COMBINE miss (a malformed vk then fails that request
-      // attributably, never the daemon).
-      Sha256 hs;
-      hs.update(pk);
-      ByteWriter nt;
-      nt.u32(cm->n);
-      nt.u32(cm->t);
-      hs.update(nt.bytes());
-      for (const auto& vk : cm->vks) hs.update(vk);
-      committee_digest = std::string(scheme->name()) + ":committee:" +
-                         to_hex(hs.finalize());
-      committee = std::move(cm);
-    }
-
-    // Ordering matters: the digest-keyed material is published under reg_m_
-    // BEFORE the cache alias becomes visible, so a pool worker that
-    // resolves the new alias always finds the digest's (immutable) material.
-    {
-      std::lock_guard<std::mutex> l(reg_m_);
-      pk_by_digest_.emplace(digest, PkEntry{scheme->id(), pk});
-      if (committee)
-        committee_by_digest_.emplace(committee_digest,
-                                     CommitteeEntry{scheme->id(), committee});
-    }
-    bool deduped = verifier_cache_.add_alias(req.key, digest);
-    if (committee) combiner_cache_.add_alias(req.key, committee_digest);
-    if (deduped)
-      deduped_by_scheme_[threshold::scheme_stats_slot(scheme->id())].fetch_add(
-          1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> l(reg_m_);
-      tenants_[req.key] = info;
-    }
-    ByteWriter w;
-    encode_response_header(w, Status::kOk, id);
-    w.u8(deduped ? 1 : 0);
-    send_now(c, w.take());
-  } catch (const std::exception& e) {
-    send_now(c, encode_error(id, e.what()));
-  }
-}
-
-void RpcServer::dispatch_verify(
-    const std::shared_ptr<Conn>& c, uint64_t id, VerifyRequest req,
-    std::chrono::steady_clock::time_point deadline,
-    std::shared_ptr<obs::RequestTrace> trace) {
-  threshold::SchemeId scheme_id;
+  // Ordering matters: the digest-keyed material is published under reg_m_
+  // BEFORE the cache alias becomes visible, so a pool worker that resolves
+  // the new alias always finds the digest's (immutable) material.
   {
     std::lock_guard<std::mutex> l(reg_m_);
-    auto it = tenants_.find(req.key);
-    if (it == tenants_.end()) {
-      send_now(c, encode_error(id, "unknown tenant: " + req.key));
-      return;
-    }
-    scheme_id = it->second.scheme;
+    pk_by_digest_.emplace(digest, PkEntry{scheme.id(), std::move(pk)});
+    if (committee)
+      committee_by_digest_.emplace(committee_digest,
+                                   CommitteeEntry{scheme.id(), committee});
   }
-  std::weak_ptr<Conn> wc = c;
-  auto done = [this, wc, id, trace](bool ok, std::exception_ptr err) {
-    Bytes resp;
-    if (err) {
-      try {
-        std::rethrow_exception(err);
-      } catch (const service::DeadlineShed& e) {
-        // The service dropped it before paying a pairing: SHED on the wire,
-        // so the client knows a retry of the same budget is pointless.
-        resp = encode_rejection(id, Status::kShed, e.what());
-      } catch (const std::exception& e) {
-        resp = encode_error(id, e.what());
-      } catch (...) {
-        resp = encode_error(id, "verify failed");
-      }
-    } else {
-      ByteWriter w;
-      encode_response_header(w, Status::kOk, id);
-      w.u8(ok ? 1 : 0);
-      resp = w.take();
-    }
-    complete(wc, std::move(resp), std::move(trace));
-  };
-  // The tenant's registered scheme parses the opaque signature blob; the
-  // erased handle and its prepared verifier are therefore always the same
-  // scheme by construction. parse_signature is a G1 sqrt decompression —
-  // the IO loop's old hot spot — so it runs as a pool task: the loop goes
-  // straight back to its sockets.
-  const threshold::Scheme* scheme = &registry_.at(scheme_id);
-  in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  offload([this, wc, id, scheme, req = std::move(req), deadline,
-           trace = std::move(trace), done = std::move(done)]() mutable {
-    try {
-      threshold::SigHandle sig = scheme->parse_signature(req.sig);
-      if (trace) trace->stamp(obs::Stage::kDecoded);
-      verify_->submit(req.key, std::move(req.msg), std::move(sig),
-                      std::move(done), deadline, std::move(trace));
-    } catch (const std::exception& e) {
-      // Bad signature encoding inside a well-formed frame: attributable.
-      complete(wc, encode_error(id, e.what()));
-    } catch (...) {
-      complete(wc, encode_error(id, "verify dispatch failed"));
-    }
-  });
-}
-
-void RpcServer::dispatch_batch_verify(
-    const std::shared_ptr<Conn>& c, uint64_t id, BatchVerifyRequest req,
-    std::chrono::steady_clock::time_point deadline,
-    std::shared_ptr<obs::RequestTrace> trace) {
-  threshold::SchemeId scheme_id;
-  {
-    std::lock_guard<std::mutex> l(reg_m_);
-    auto it = tenants_.find(req.key);
-    if (it == tenants_.end()) {
-      send_now(c, encode_error(id, "unknown tenant: " + req.key));
-      return;
-    }
-    scheme_id = it->second.scheme;
-  }
-
-  if (req.items.empty()) {
-    ByteWriter w;
-    encode_response_header(w, Status::kOk, id);
-    w.u32(0);
-    send_now(c, w.take());
-    return;
-  }
-
-  // Shared aggregation state: each item completes independently (they fold
-  // into the tenant's per-flush batches like any other submissions); the
-  // LAST accounted item encodes and queues the response. `outstanding`
-  // starts at the FULL item count so no early completion can observe zero
-  // while later items are still being staged; a malformed signature blob is
-  // simply not a valid signature -> rejected without a service round trip,
-  // accounted on the staging task.
-  struct BatchState {
-    std::mutex m;
-    std::vector<uint8_t> results;
-    size_t outstanding = 0;
-    std::string error;  // first exceptional failure, if any
-    bool shed = false;  // that failure was a deadline shed -> SHED response
-  };
-  auto st = std::make_shared<BatchState>();
-  st->results.assign(req.items.size(), 0);
-  st->outstanding = req.items.size();
-  std::weak_ptr<Conn> wc = c;
-
-  auto finish = [this, st, wc, id, trace] {
-    Bytes resp;
-    if (!st->error.empty()) {
-      resp = st->shed ? encode_rejection(id, Status::kShed, st->error)
-                      : encode_error(id, st->error);
-    } else {
-      ByteWriter w;
-      encode_response_header(w, Status::kOk, id);
-      w.u32(static_cast<uint32_t>(st->results.size()));
-      for (uint8_t r : st->results) w.u8(r);
-      resp = w.take();
-    }
-    complete(wc, std::move(resp), trace);
-  };
-
-  // The per-item signature parses (the batch's whole decompression bill)
-  // run as ONE staging task on the pool, not on the IO loop. The batch
-  // shares ONE trace; kDecoded marks the staging task starting its parses
-  // and the service stamps (queued/frozen/crypto) follow the LAST item to
-  // touch each stage, which is what end-to-end latency is made of.
-  const threshold::Scheme* scheme = &registry_.at(scheme_id);
-  auto reqp = std::make_shared<BatchVerifyRequest>(std::move(req));
-  in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  offload([this, st, scheme, reqp, deadline, trace = std::move(trace),
-           finish] {
-    if (trace) trace->stamp(obs::Stage::kDecoded);
-    for (size_t j = 0; j < reqp->items.size(); ++j) {
-      auto item_done = [st, j, finish](bool ok, std::exception_ptr err) {
-        bool last;
-        {
-          std::lock_guard<std::mutex> l(st->m);
-          if (err && st->error.empty()) {
-            try {
-              std::rethrow_exception(err);
-            } catch (const service::DeadlineShed& e) {
-              st->error = e.what();
-              st->shed = true;
-            } catch (const std::exception& e) {
-              st->error = e.what();
-            } catch (...) {
-              st->error = "batch item failed";
-            }
-          }
-          st->results[j] = (!err && ok) ? 1 : 0;
-          last = --st->outstanding == 0;
-        }
-        if (last) finish();
-      };
-      try {
-        threshold::SigHandle sig =
-            scheme->parse_signature(reqp->items[j].second);
-        verify_->submit(reqp->key, std::move(reqp->items[j].first),
-                        std::move(sig), item_done, deadline, trace);
-      } catch (const std::exception&) {
-        bool last;
-        {
-          std::lock_guard<std::mutex> l(st->m);
-          st->results[j] = 0;  // malformed encoding: rejected, not submitted
-          last = --st->outstanding == 0;
-        }
-        if (last) finish();
-      }
-    }
-  });
-}
-
-void RpcServer::dispatch_combine(const std::shared_ptr<Conn>& c, uint64_t id,
-                                 CombineRequest req,
-                                 std::shared_ptr<obs::RequestTrace> trace) {
-  threshold::SchemeId scheme_id;
-  {
-    std::lock_guard<std::mutex> l(reg_m_);
-    auto it = tenants_.find(req.key);
-    if (it == tenants_.end() || !it->second.combine_capable) {
-      send_now(c,
-               encode_error(id, "not a combine-capable tenant: " + req.key));
-      return;
-    }
-    scheme_id = it->second.scheme;
-  }
-
-  std::weak_ptr<Conn> wc = c;
-  // parse_partial per share is the same decompression bill as verify's
-  // parse_signature: staged on the pool, off the IO loop.
-  const threshold::Scheme* scheme = &registry_.at(scheme_id);
-  auto reqp = std::make_shared<CombineRequest>(std::move(req));
-  in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  offload([this, wc, id, scheme, scheme_id, reqp, trace = std::move(trace)] {
-    std::vector<threshold::PartialHandle> parts;
-    try {
-      parts.reserve(reqp->partials.size());
-      for (const auto& p : reqp->partials)
-        parts.push_back(scheme->parse_partial(p));
-    } catch (const std::exception& e) {
-      complete(wc, encode_error(id, e.what()));
-      return;
-    } catch (...) {
-      complete(wc, encode_error(id, "combine dispatch failed"));
-      return;
-    }
-    if (trace) trace->stamp(obs::Stage::kDecoded);
-    combine_->submit(
-        reqp->key, scheme_id, std::move(reqp->msg), std::move(parts),
-        [this, wc, id,
-         trace](service::CombineOutcome* out, std::exception_ptr err) {
-          Bytes resp;
-          if (err) {
-            try {
-              std::rethrow_exception(err);
-            } catch (const std::exception& e) {
-              resp = encode_error(id, e.what());
-            } catch (...) {
-              resp = encode_error(id, "combine failed");
-            }
-          } else {
-            resp = encode_ok(id,
-                             encode_combine_result({out->sig, out->cheaters}));
-          }
-          complete(wc, std::move(resp), trace);
-        },
-        trace);
-  });
+  bool deduped = verifier_cache_.add_alias(req.key, digest);
+  if (committee) combiner_cache_.add_alias(req.key, committee_digest);
+  if (deduped)
+    deduped_by_scheme_[threshold::scheme_stats_slot(scheme.id())].fetch_add(
+        1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> l(reg_m_);
+  tenants_[req.key] = TenantInfo{scheme.id(), req.committee};
+  return deduped;
 }
 
 service::ServiceStats RpcServer::verify_stats() const {

@@ -19,10 +19,12 @@
 //     that owns its connection, so response queuing never crosses loops.
 //   * Request DECODE is off the IO loops: the wire-level body split still
 //     happens on the loop (cheap memcpy, and a malformed frame must close
-//     the connection synchronously), but `Scheme::parse_signature` /
-//     `parse_partial` — the G1 sqrt decompression hot spot — runs as a
-//     thread-pool task, which then submits to the services with a
-//     COMPLETION CALLBACK exactly as before.
+//     the connection synchronously), but every crypto parse —
+//     `Scheme::parse_signature` / `parse_partial` (the G1 sqrt
+//     decompression hot spot) and REGISTER's `canonical_public_key` (curve
+//     and subgroup checks) — runs as a thread-pool task through ONE
+//     dispatch path, which then submits to the services with a COMPLETION
+//     CALLBACK.
 //   * Responses flush with writev (one syscall per readiness, not one per
 //     frame) and complete OUT OF ORDER; the request id written by the
 //     client is echoed back so a pipelined connection can match them.
@@ -142,8 +144,9 @@ class RpcServer {
   size_t io_loops() const { return loops_.size(); }
 
   /// Serves until stop(): spawns loops 1..N-1 as internal threads, runs
-  /// loop 0 on the calling thread, joins everything before returning. The
-  /// first exception any loop died with is rethrown here.
+  /// loop 0 on the calling thread, joins everything before returning. A
+  /// loop that dies stops the rest; its exception is rethrown here (loop
+  /// 0's first, then the lowest-numbered loop's).
   void run();
 
   /// Requests shutdown; safe from any thread and from a signal handler.
@@ -202,33 +205,60 @@ class RpcServer {
   /// violation (caller closes the connection).
   bool handle_frame(IoLoop& L, const std::shared_ptr<Conn>& c,
                     std::span<const uint8_t> payload);
-  void handle_register(const std::shared_ptr<Conn>& c, uint64_t id,
-                       ByteReader& rd);
-  void dispatch_verify(const std::shared_ptr<Conn>& c, uint64_t id,
-                       VerifyRequest req,
-                       std::chrono::steady_clock::time_point deadline,
-                       std::shared_ptr<obs::RequestTrace> trace);
-  void dispatch_batch_verify(const std::shared_ptr<Conn>& c, uint64_t id,
-                             BatchVerifyRequest req,
-                             std::chrono::steady_clock::time_point deadline,
-                             std::shared_ptr<obs::RequestTrace> trace);
-  void dispatch_combine(const std::shared_ptr<Conn>& c, uint64_t id,
-                        CombineRequest req,
-                        std::shared_ptr<obs::RequestTrace> trace);
-  /// Admission control shared by the dispatch_* fronts: charges the token
-  /// bucket and checks the in-flight cap; a false return already sent the
-  /// BUSY rejection.
+  /// Admission control for the data plane: charges the token bucket and
+  /// checks the in-flight cap; a false return already sent the BUSY
+  /// rejection.
   bool admit(IoLoop& L, const std::shared_ptr<Conn>& c, uint64_t id,
              double cost);
+  /// The tenant's scheme (ONE lookup under reg_m_), or null when the tenant
+  /// is unknown or, with `combine`, not combine-capable.
+  const threshold::Scheme* tenant_scheme(const std::string& key,
+                                         bool combine) const;
 
-  /// Runs `fn` on the thread pool, tracked so the destructor can wait for
-  /// every offloaded decode to land before tearing the services down. `fn`
-  /// must not throw.
-  void offload(std::function<void()> fn);
+  /// A dispatched request's way back to its connection, handed to the
+  /// method's pool-side work. Exactly one of ok()/fail() runs per request;
+  /// either takes it out of the in-flight window.
+  struct Reply {
+    RpcServer* server = nullptr;
+    std::weak_ptr<Conn> conn;
+    uint64_t id = 0;
+    const threshold::Scheme* scheme = nullptr;  // the tenant's (null: REGISTER)
+    std::shared_ptr<obs::RequestTrace> trace;   // null unless obs is on
+
+    void ok(std::span<const uint8_t> body) const;
+    /// The one exception-to-status map: DeadlineShed is SHED (a retry with
+    /// the same budget is pointless), anything else is ERROR.
+    void fail(std::exception_ptr err) const;
+  };
+  using Work = std::function<void(const Reply&)>;
+  /// How dispatch() routes a request. A data-plane method names its tenant
+  /// (admission, then the tenant lookup); REGISTER names none — it is an
+  /// admin frame, exempt from admission, that resolves its scheme from its
+  /// own body.
+  struct Route {
+    const std::string* tenant = nullptr;
+    bool combine = false;  // the tenant must be combine-capable
+    double cost = 1;       // token-bucket charge
+  };
+  /// The one request path behind REGISTER, VERIFY, BATCH_VERIFY and
+  /// COMBINE. On the loop: admission and the tenant lookup (an unknown
+  /// tenant is answered right here). Then the request counts in flight and
+  /// `work` — parse the blobs, submit, encode the OK body — runs on the
+  /// pool; a throw from it answers through Reply::fail. The in-flight task
+  /// count lets the destructor wait for every task before tearing the
+  /// services down.
+  void dispatch(IoLoop& L, const std::shared_ptr<Conn>& c, uint64_t id,
+                const Route& route, std::shared_ptr<obs::RequestTrace> trace,
+                Work work);
+  /// REGISTER's bookkeeping once its key parsed (pool side): digests, then
+  /// the digest-keyed material, the cache aliases and the tenant record, in
+  /// that order. Returns whether the key was already prepared (dedup).
+  bool publish_tenant(RegisterTenantRequest& req,
+                      const threshold::Scheme& scheme, Bytes pk);
 
   /// Queues an already-encoded response payload from any thread onto the
   /// owning loop's completion queue and wakes that loop's eventfd.
-  /// Counterpart of a dispatch_* in_flight_ increment. The trace (null when
+  /// Counterpart of dispatch()'s in_flight_ increment. The trace (null when
   /// obs is off) rides along so the flush stamp lands when the response
   /// bytes actually drain to the socket.
   void complete(const std::weak_ptr<Conn>& c, Bytes payload,
@@ -269,16 +299,16 @@ class RpcServer {
 
   std::atomic<uint64_t> in_flight_{0};
 
-  // Offloaded-decode tracking: the destructor must not tear the services
+  // Dispatched-task tracking: the destructor must not tear the services
   // down while a pool task still holds a reference to them.
-  std::mutex decode_m_;
-  std::condition_variable decode_cv_;
-  uint64_t decode_inflight_ = 0;  // guarded by decode_m_
+  std::mutex tasks_m_;
+  std::condition_variable tasks_cv_;
+  uint64_t tasks_inflight_ = 0;  // guarded by tasks_m_
 
-  // Tenant registry: loop threads write on REGISTER, pool workers read from
-  // the providers. The providers read the DIGEST-keyed maps (immutable per
-  // digest); `tenants_` (mutable: a tenant may rotate keys or schemes) is
-  // only read on the loop threads for routing.
+  // Tenant registry: REGISTER's pool task writes, the providers (pool
+  // workers) read the DIGEST-keyed maps (immutable per digest), and the
+  // loops read `tenants_` (mutable: a tenant may rotate keys or schemes)
+  // for routing.
   mutable std::mutex reg_m_;
   std::unordered_map<std::string, TenantInfo> tenants_;
   std::unordered_map<std::string, PkEntry> pk_by_digest_;

@@ -320,13 +320,23 @@ TEST_F(FaultsTest, SpentBudgetIsShedOnArrival) {
   }
   auto [msg, sig] = make_signed(km, "arrival shed");
 
-  VerifyRequest req{"acme", msg, sig.serialize()};
-  Bytes resp = raw_round_trip(d.port(), encode_verify(1, req, 0u));
-  ASSERT_FALSE(resp.empty());
-  ByteReader rd(resp);
-  ResponseHeader h = decode_response_header(rd);
-  EXPECT_EQ(h.status, Status::kShed);
-  EXPECT_EQ(h.request_id, 1u);
+  std::vector<Bytes> partials;
+  for (const auto& p : first_partials(km, msg))
+    partials.push_back(p.serialize());
+  // Every data-plane method, each with a zero budget.
+  const std::vector<Bytes> spent = {
+      encode_verify(1, {"acme", msg, sig.serialize()}, 0u),
+      encode_batch_verify(2, {"acme", {{msg, sig.serialize()}}}, 0u),
+      encode_combine(3, {"acme", msg, partials}, 0u),
+  };
+  for (size_t i = 0; i < spent.size(); ++i) {
+    Bytes resp = raw_round_trip(d.port(), spent[i]);
+    ASSERT_FALSE(resp.empty());
+    ByteReader rd(resp);
+    ResponseHeader h = decode_response_header(rd);
+    EXPECT_EQ(h.status, Status::kShed);
+    EXPECT_EQ(h.request_id, i + 1);
+  }
 
   Bytes ping = raw_round_trip(d.port(), encode_empty_request(Method::kPing, 2, 0u));
   ASSERT_FALSE(ping.empty());
@@ -334,8 +344,8 @@ TEST_F(FaultsTest, SpentBudgetIsShedOnArrival) {
   EXPECT_EQ(decode_response_header(rd2).status, Status::kOk);
 
   HealthStats health = d.server->snapshot_health();
-  EXPECT_EQ(health.shed_arrival, 1u);
-  // The shed request never reached the verification service.
+  EXPECT_EQ(health.shed_arrival, spent.size());
+  // The shed requests never reached the verification service.
   EXPECT_EQ(d.server->verify_stats().submitted, 0u);
 }
 

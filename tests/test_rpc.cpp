@@ -15,9 +15,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
+#include <optional>
 #include <thread>
 
+#include "curve/g2.hpp"
 #include "fixtures.hpp"
 #include "obs/histogram.hpp"
 #include "obs/obs.hpp"
@@ -329,6 +333,22 @@ class RpcDaemonTest : public testfx::RoSchemeFixture {
         off += size_t(n);
       }
     }
+    /// Sends one request payload and reads back exactly one response frame
+    /// (empty when the peer closed first).
+    Bytes round_trip(std::span<const uint8_t> payload) {
+      Bytes framed;
+      append_frame(framed, payload);
+      send_all(framed);
+      uint8_t buf[4096];
+      Bytes frame;
+      while (frames.next(frame) != FrameBuffer::Result::kFrame) {
+        ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+        if (n <= 0) return {};
+        frames.feed({buf, size_t(n)});
+      }
+      return frame;
+    }
+    FrameBuffer frames;
     /// Blocks until the peer closes (returns total bytes read until EOF).
     size_t read_to_eof() {
       uint8_t buf[4096];
@@ -368,6 +388,62 @@ TEST_F(RpcDaemonTest, VerifyCombineAndStatsRoundTrip) {
   EXPECT_EQ(st.verify_rejected, 1u);
   EXPECT_EQ(st.combines, 1u);
   EXPECT_EQ(st.protocol_errors, 0u);
+}
+
+// The COMBINE callback front fires exactly once per request: with the
+// signature and the attributed cheaters on success, with the error when the
+// committee cannot reach t+1 valid shares. close() drains the session, so
+// the counts are final afterwards.
+TEST_F(RpcDaemonTest, CombineAsyncFiresExactlyOnce) {
+  auto km = keygen(5, 2);
+  RpcClient client("127.0.0.1", port());
+  EXPECT_FALSE(client.register_ro_committee("acme", km).get());
+  Bytes m = to_bytes("combine async");
+
+  struct Outcome {
+    std::mutex mu;
+    std::condition_variable cv;
+    int calls = 0;
+    std::optional<CombineResult> result;
+    std::exception_ptr err;
+  };
+  auto combine = [&](std::vector<PartialSignature> parts) {
+    std::vector<Bytes> blobs;
+    for (const auto& p : parts) blobs.push_back(p.serialize());
+    auto o = std::make_shared<Outcome>();
+    client.combine_async("acme", m, std::move(blobs),
+                         [o](CombineResult* r, std::exception_ptr e) {
+                           std::lock_guard<std::mutex> l(o->mu);
+                           ++o->calls;
+                           if (r) o->result = *r;
+                           o->err = e;
+                           o->cv.notify_all();
+                         });
+    return o;
+  };
+  auto with_cheater = partials(km, m, {1, 2, 3, 4});
+  with_cheater[1] = tamper(with_cheater[1]);
+  auto ok = combine(with_cheater);
+  auto all_bad = first_partials(km, m);
+  for (auto& p : all_bad) p = tamper(p);
+  auto bad = combine(all_bad);
+  for (auto* o : {ok.get(), bad.get()}) {
+    std::unique_lock<std::mutex> l(o->mu);
+    ASSERT_TRUE(o->cv.wait_for(l, std::chrono::seconds(30),
+                               [&] { return o->calls > 0; }));
+  }
+  client.close();
+
+  EXPECT_EQ(ok->calls, 1);
+  EXPECT_FALSE(ok->err);
+  ASSERT_TRUE(ok->result.has_value());
+  EXPECT_EQ(ok->result->sig, sign(km, m).serialize());
+  EXPECT_EQ(ok->result->cheaters, std::vector<uint32_t>{2});
+
+  EXPECT_EQ(bad->calls, 1);
+  EXPECT_FALSE(bad->result.has_value());
+  ASSERT_TRUE(bad->err);
+  EXPECT_THROW(std::rethrow_exception(bad->err), RpcError);
 }
 
 TEST_F(RpcDaemonTest, UnknownTenantAndBadRequestsGetErrorsNotDisconnect) {
@@ -710,6 +786,151 @@ TEST_F(RpcDaemonTest, AdminTokenGatesRegistration) {
     EXPECT_EQ(st.tenants, 1u);
     EXPECT_EQ(st.protocol_errors, 0u);
   }
+  server.stop();
+  serving.join();
+}
+
+/// A point of the twist E'(Fp2) outside the r-order subgroup, compressed.
+Bytes non_subgroup_g2() {
+  for (uint64_t k = 1;; ++k) {
+    Fp2 x{Fp::from_u64(k), Fp::from_u64(1)};
+    auto y = (x.squared() * x + G2Curve::coeff_b()).sqrt();
+    if (!y) continue;
+    G2Affine p = G2Affine::from_xy(x, *y);
+    if (!g2_in_subgroup(p)) return g2_to_bytes(p);
+  }
+}
+
+// Golden outcome table: the exact status byte and body every request kind
+// answers, per outcome class, over one raw connection that stays open
+// throughout. A malformed signature is an ERROR for VERIFY but a 0 verdict
+// inside BATCH_VERIFY (the batch answers per item).
+TEST_F(RpcDaemonTest, GoldenOutcomePerMethod) {
+  service::ThreadPool pool(2);
+  ServerConfig cfg;
+  cfg.port = 0;
+  cfg.params_label = "rpc-daemon/v1";
+  cfg.admin_token = "golden-token";
+  cfg.batch.max_delay = std::chrono::milliseconds(1);
+  RpcServer server(cfg, pool);
+  std::thread serving([&] { server.run(); });
+
+  auto km = keygen(3, 1);
+  auto fresh = keygen(3, 1);
+  {
+    RpcClient admin("127.0.0.1", server.port());
+    admin.set_admin_token("golden-token");
+    EXPECT_FALSE(admin.register_ro_committee("acme", km).get());
+    EXPECT_FALSE(admin.register_ro_key("pk-only", keygen(3, 1).pk).get());
+  }
+  auto [msg, sig] = make_signed(km, "golden");
+  const Bytes good = sig.serialize();
+  const Bytes forged = forge(sig).serialize();
+  const Bytes garbage = {0x01, 0x02, 0x03};
+  auto parts = [&](bool tampered) {
+    std::vector<Bytes> out;
+    for (auto p : first_partials(km, msg))
+      out.push_back((tampered ? tamper(p) : p).serialize());
+    return out;
+  };
+  auto reg = [&](const std::string& token, Bytes pk, uint8_t scheme_id = 1) {
+    RegisterTenantRequest r;
+    r.token = token;
+    r.key = "fresh";
+    r.scheme = scheme_id;
+    r.pk = std::move(pk);
+    return r;
+  };
+  Bytes bad_pk = fresh.pk.serialize();
+  const Bytes outside = non_subgroup_g2();
+  std::copy(outside.begin(), outside.end(), bad_pk.begin());
+
+  auto ok_body = [](std::initializer_list<uint8_t> b) { return Bytes(b); };
+  auto verdicts = [](std::initializer_list<uint8_t> v) {
+    ByteWriter w;
+    w.u32(uint32_t(v.size()));
+    for (uint8_t b : v) w.u8(b);
+    return w.take();
+  };
+  auto text = [](std::string_view s) {
+    ByteWriter w;
+    w.str(s);
+    return w.take();
+  };
+  Bytes combined = encode_combine_result({good, {}});
+
+  uint64_t rid = 0;  // row i carries request id i + 1
+  struct Row {
+    const char* name;
+    Bytes request;
+    Status status;
+    Bytes body;
+  };
+  std::vector<Row> rows = {
+      {"VERIFY valid", encode_verify(++rid, {"acme", msg, good}), Status::kOk,
+       ok_body({1})},
+      {"VERIFY invalid", encode_verify(++rid, {"acme", msg, forged}),
+       Status::kOk, ok_body({0})},
+      {"VERIFY unknown tenant", encode_verify(++rid, {"nobody", msg, good}),
+       Status::kError, text("unknown tenant: nobody")},
+      {"VERIFY malformed sig", encode_verify(++rid, {"acme", msg, garbage}),
+       Status::kError, text("ByteReader: truncated input")},
+      {"BATCH valid",
+       encode_batch_verify(++rid, {"acme", {{msg, good}, {msg, good}}}),
+       Status::kOk, verdicts({1, 1})},
+      {"BATCH invalid",
+       encode_batch_verify(++rid, {"acme", {{msg, good}, {msg, forged}}}),
+       Status::kOk, verdicts({1, 0})},
+      {"BATCH unknown tenant",
+       encode_batch_verify(++rid, {"nobody", {{msg, good}}}), Status::kError,
+       text("unknown tenant: nobody")},
+      {"BATCH malformed sig",
+       encode_batch_verify(++rid, {"acme", {{msg, good}, {msg, garbage}}}),
+       Status::kOk, verdicts({1, 0})},
+      {"COMBINE valid", encode_combine(++rid, {"acme", msg, parts(false)}),
+       Status::kOk, combined},
+      {"COMBINE invalid", encode_combine(++rid, {"acme", msg, parts(true)}),
+       Status::kError, text("combine: fewer than t+1 valid shares")},
+      {"COMBINE unknown tenant",
+       encode_combine(++rid, {"nobody", msg, parts(false)}), Status::kError,
+       text("not a combine-capable tenant: nobody")},
+      {"COMBINE malformed partial",
+       encode_combine(++rid, {"acme", msg, {garbage, garbage}}), Status::kError,
+       text("ByteReader: truncated input")},
+      {"COMBINE verify-only tenant",
+       encode_combine(++rid, {"pk-only", msg, parts(false)}), Status::kError,
+       text("not a combine-capable tenant: pk-only")},
+      {"REGISTER bad token",
+       encode_register(++rid, reg("wrong", fresh.pk.serialize())),
+       Status::kError, text("unauthorized: bad admin token")},
+      {"REGISTER malformed key",
+       encode_register(++rid, reg("golden-token", garbage)), Status::kError,
+       text("ByteReader: truncated input")},
+      {"REGISTER non-subgroup key",
+       encode_register(++rid, reg("golden-token", bad_pk)), Status::kError,
+       text("PublicKey: key component outside the G2 subgroup")},
+      {"REGISTER unknown scheme",
+       encode_register(++rid, reg("golden-token", fresh.pk.serialize(), 200)),
+       Status::kError, text("unknown scheme id 200")},
+      {"REGISTER valid",
+       encode_register(++rid, reg("golden-token", fresh.pk.serialize())),
+       Status::kOk, ok_body({0})},
+  };
+
+  RawConn raw(server.port());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    SCOPED_TRACE(rows[i].name);
+    Bytes resp = raw.round_trip(rows[i].request);
+    ASSERT_FALSE(resp.empty()) << "connection closed";
+    ByteReader rd(resp);
+    ResponseHeader h = decode_response_header(rd);
+    EXPECT_EQ(h.request_id, i + 1);
+    EXPECT_EQ(int(h.status), int(rows[i].status));
+    Bytes body(resp.begin() + 9, resp.end());
+    EXPECT_EQ(std::string(body.begin(), body.end()),
+              std::string(rows[i].body.begin(), rows[i].body.end()));
+  }
+  EXPECT_EQ(server.snapshot_stats().protocol_errors, 0u);
   server.stop();
   serving.join();
 }

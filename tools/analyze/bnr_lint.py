@@ -210,15 +210,20 @@ def rule_l001(relpath: str, lines: list[str]):
 
 L002_BANNED = re.compile(
     r"\b(parse_signature|parse_partial|parse_public_key|pairing_product_is_one|"
+    r"canonical_public_key|make_verifier|make_combiner|"
     r"pairing|sleep_for|sleep|usleep|nanosleep|poll|select)\s*\(")
-L002_OFFLOAD_OPEN = re.compile(r"\b(offload|submit|post)\s*\(")
+# Calls whose closure arguments run on the pool: offload/submit/post, the
+# daemon's dispatch() (a request's pool-side work), and the services'
+# constructors (their key providers run on fold tasks).
+L002_OFFLOAD_OPEN = re.compile(
+    r"\b(offload|submit|post|dispatch|MultiTenant\w+Service>)\s*\(")
 
 
 def rule_l002(relpath: str, lines: list[str]):
-    """Blocking or pairing-grade work on the IO loop in rpc_server.cpp."""
+    """Blocking, parsing or pairing-grade work on the IO loop in rpc_server.cpp."""
     if "rpc_server" not in os.path.basename(relpath):
         return
-    # Compute paren-balanced exemption regions opened by offload(/submit(/post(
+    # Compute paren-balanced exemption regions opened by L002_OFFLOAD_OPEN
     exempt = [False] * len(lines)
     depth = 0
     in_region = False
@@ -246,9 +251,9 @@ def rule_l002(relpath: str, lines: list[str]):
             yield Finding(
                 "BNR-L002", relpath, i + 1,
                 f"`{m.group(1)}(` on an IO-loop path (outside any "
-                "offload(...) region)",
-                "stage the work on the pool via offload()/submit() so the "
-                "epoll loop goes straight back to its sockets")
+                "offload/dispatch(...) region)",
+                "stage the work on the pool via dispatch()/offload()/submit() "
+                "so the epoll loop goes straight back to its sockets")
 
 
 L003_BANNED = re.compile(r"\b(rand|srand)\s*\(|std::random_device|\brandom_device\b")
