@@ -9,19 +9,26 @@
 //      vs RLC-batched flushes through the async queue (driven through the
 //      unified type-erased MultiTenantVerificationService with one tenant
 //      key — the same serving core the daemon runs).
-//   3. The pool-parallel primitives (Pippenger windows, Miller-loop chunks)
+//   3. The flush fold across tenants, single-threaded: one RlcFold of 64
+//      members drawn Zipf(1.0) over 16 RO keys against a fold of 64 under
+//      one key. The keys share g^_z/g^_r, so the mixed fold pays 2 + 2K
+//      Miller terms for K distinct keys; CI gates the same-run ratio.
+//   4. The pool-parallel primitives (Pippenger windows, Miller-loop chunks)
 //      against their serial counterparts.
 //
 // Emits BENCH_e11.json; bench/records/BENCH_e11.pr*.json tracks the
 // trajectory, and CI guards the combine and batching speedups.
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
+#include "service/key_cache.hpp"
 #include "service/parallel.hpp"
 #include "service/thread_pool.hpp"
 #include "service/verification_service.hpp"
 #include "threshold/dlin_scheme.hpp"
+#include "threshold/rlc_fold.hpp"
 #include "threshold/ro_scheme.hpp"
 
 using namespace bnr;
@@ -166,7 +173,79 @@ int main() {
          (unsigned long long)st.deadline_flushes,
          individual_ns / service_ns);
 
-  // ---- 3. Pool-parallel primitives vs serial. ----------------------------
+  // ---- 3. The flush fold across tenants (single-threaded). ---------------
+  bench::header("flush fold: 64 members over 16 Zipf keys vs one key");
+  {
+    constexpr size_t kKeys = 16, kFold = 64;
+    std::vector<threshold::KeyMaterial> kms;
+    std::vector<std::shared_ptr<const threshold::PreparedVerifier>> keys;
+    for (size_t k = 0; k < kKeys; ++k) {
+      kms.push_back(scheme.dist_keygen(3, 1, rng));
+      keys.push_back(
+          threshold::erase_verifier<threshold::RoVerifier,
+                                    threshold::Signature>(
+              threshold::SchemeId::kRo,
+              threshold::RoVerifier(scheme, kms.back().pk)));
+    }
+    struct Member {
+      size_t key;
+      Bytes msg;
+      threshold::SigHandle sig;
+    };
+    auto member = [&](size_t key, size_t j) {
+      Bytes m = to_bytes("e11 fold " + std::to_string(j));
+      std::vector<threshold::PartialSignature> ps;
+      for (uint32_t i = 1; i <= 2; ++i)
+        ps.push_back(scheme.share_sign(kms[key].shares[i - 1], m));
+      return Member{key, m,
+                    threshold::erase_signature(
+                        threshold::SchemeId::kRo,
+                        scheme.combine_unchecked(1, ps))};
+    };
+    service::ZipfSampler zipf(kKeys, 1.0);
+    Rng draw("e11-fold-zipf");
+    std::vector<Member> mixed, single;
+    std::vector<bool> seen(kKeys, false);
+    for (size_t j = 0; j < kFold; ++j) {
+      mixed.push_back(member(zipf.sample(draw), j));
+      seen[mixed.back().key] = true;
+      single.push_back(member(0, j));
+    }
+    Rng fold_coins("e11-fold-coins");
+    auto run_fold = [&](const std::vector<Member>& members) {
+      threshold::RlcFold fold;
+      for (const auto& m : members)
+        fold.add([&](std::vector<threshold::FoldTerm>& terms) {
+          return keys[m.key]->fold_terms(m.msg, m.sig, terms);
+        });
+      fold.seal(fold_coins);
+      sink = fold.holds(0, fold.size());
+    };
+    // Alternating runs after a warm-up, so host drift lands on both sides
+    // alike.
+    run_fold(mixed);
+    run_fold(single);
+    std::vector<double> mixed_ms, single_ms;
+    for (int rep = 0; rep < 16; ++rep) {
+      mixed_ms.push_back(bench::time_ms([&] { run_fold(mixed); }));
+      single_ms.push_back(bench::time_ms([&] { run_fold(single); }));
+    }
+    auto median_ns = [](std::vector<double> v) {
+      std::sort(v.begin(), v.end());
+      return v[v.size() / 2] * 1e6;
+    };
+    double mixed_ns = median_ns(mixed_ms);
+    double single_ns = median_ns(single_ms);
+    out.record("fold/mixed_16keys_x64", mixed_ns);
+    out.record("fold/single_key_x64", single_ns);
+    printf("\nmixed fold over %zu distinct keys costs %.2fx the single-key "
+           "fold (%.0f vs %.0f us/sig)\n",
+           size_t(std::count(seen.begin(), seen.end(), true)),
+           mixed_ns / single_ns, mixed_ns / kFold / 1e3,
+           single_ns / kFold / 1e3);
+  }
+
+  // ---- 4. Pool-parallel primitives vs serial. ----------------------------
   bench::header("parallel primitives");
   {
     Rng prng("e11-msm");
@@ -202,7 +281,7 @@ int main() {
     }, 3, 300.0);
   }
 
-  // ---- 4. DLIN combine, batched vs per-partial (n=8, t=3). ---------------
+  // ---- 5. DLIN combine, batched vs per-partial (n=8, t=3). ---------------
   bench::header("DLIN combine (n=8, t=3)");
   {
     threshold::DlinScheme dscheme(sp);

@@ -15,7 +15,7 @@
 //     the multi-tenant serving hot path — reporting ns/request and the
 //     steady-state (warm-cache) hit rate;
 //   * at 10k keys additionally the full batching service path
-//     (per-tenant RLC folds over the async queue).
+//     (one cross-tenant RLC fold per flush over the async queue).
 //
 // Emits BENCH_e12.json; CI reports the 10k hit rate (target >= 90%) and the
 // multi-tenant overhead ratio vs the single-tenant cached path (target
@@ -168,7 +168,7 @@ int main() {
   out.record("multitenant/overhead_ratio_10k",
              request_ns_10k / (single_ns / kPool));
 
-  // The full service path at 10k keys: async queue, per-tenant RLC folds.
+  // The full service path at 10k keys: async queue, cross-tenant RLC folds.
   bench::header("batching service over the key cache (10k keys)");
   {
     service::ThreadPool pool;
@@ -198,7 +198,7 @@ int main() {
     });
     out.record("multitenant/service_request_ns_10k", ms * 1e6 / reqs);
     auto vs = svc.stats();
-    printf("\nservice: %llu requests in %llu per-key folds, %.1f%% cache hit "
+    printf("\nservice: %llu requests in %llu flush folds, %.1f%% cache hit "
            "rate\n",
            (unsigned long long)vs.submitted, (unsigned long long)vs.batches,
            100.0 * cache.stats().hit_rate());

@@ -18,6 +18,7 @@
 #include "common/rng.hpp"
 #include "pairing/pairing.hpp"
 #include "threshold/ro_scheme.hpp"
+#include "threshold/scheme_api.hpp"
 
 using namespace bnr;
 
@@ -129,8 +130,15 @@ int main() {
       3, 500.0);
   out.record("verify/individual_x64", individual_ns);
   Rng batch_rng("e5-batch-rlc");
+  auto erased = threshold::erase_verifier<threshold::RoVerifier,
+                                          threshold::Signature>(
+      threshold::SchemeId::kRo, verifier);
+  std::vector<threshold::SigHandle> handles;
+  for (const auto& s : sigs)
+    handles.push_back(threshold::erase_signature(threshold::SchemeId::kRo, s));
   double batch_ns = bench::ns_per_op(
-      [&] { sink = verifier.batch_verify(msgs, sigs, batch_rng); }, 3, 500.0);
+      [&] { sink = erased->batch_verify(msgs, handles, batch_rng); }, 3,
+      500.0);
   out.record("verify/batch_x64", batch_ns);
   printf("\nbatch_verify(64) speedup over 64 individual verifies: %.2fx\n",
          individual_ns / batch_ns);

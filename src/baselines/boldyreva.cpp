@@ -113,43 +113,19 @@ bool BoldyrevaBls::verify(const BlsPublicKey& pk,
 // Cached verification
 
 BlsVerifier::BlsVerifier(const BoldyrevaBls& scheme, const BlsPublicKey& pk)
-    : scheme_(scheme),
-      gen_(G2Curve::generator_affine()),
-      pk_(pk.pk) {}
+    : scheme_(scheme), gen_(scheme.generators()), pk_(pk.pk) {}
 
 bool BlsVerifier::verify(std::span<const uint8_t> msg,
                          const G1Affine& sig) const {
-  G1Affine neg_h = -scheme_.hash_message(msg);
-  std::array<PreparedTerm, 2> terms = {
-      PreparedTerm{sig, &gen_},
-      PreparedTerm{neg_h, &pk_},
-  };
-  return pairing_product_is_one(terms);
+  std::vector<threshold::FoldTerm> terms;
+  return fold_terms(msg, sig, terms) && threshold::terms_hold(terms);
 }
 
-bool BlsVerifier::batch_verify(std::span<const Bytes> msgs,
-                               std::span<const G1Affine> sigs,
-                               Rng& rng) const {
-  if (msgs.size() != sigs.size())
-    throw std::invalid_argument("bls batch_verify: size mismatch");
-  if (msgs.empty()) return true;
-  const size_t n = msgs.size();
-
-  std::vector<Fr> coeff(n);
-  coeff[0] = Fr::one();
-  for (size_t j = 1; j < n; ++j)
-    coeff[j] = threshold::random_rlc_coefficient(rng);
-
-  std::vector<G1> ss, hs;
-  for (size_t j = 0; j < n; ++j) {
-    ss.push_back(G1::from_affine(sigs[j]));
-    hs.push_back(G1::from_affine(-scheme_.hash_message(msgs[j])));
-  }
-  std::array<PreparedTerm, 2> terms = {
-      PreparedTerm{msm<G1>(ss, coeff).to_affine(), &gen_},
-      PreparedTerm{msm<G1>(hs, coeff).to_affine(), &pk_},
-  };
-  return pairing_product_is_one(terms);
+bool BlsVerifier::fold_terms(std::span<const uint8_t> msg, const G1Affine& sig,
+                             std::vector<threshold::FoldTerm>& out) const {
+  out.push_back({sig, &(*gen_)[0]});
+  out.push_back({-scheme_.hash_message(msg), &pk_});
+  return true;
 }
 
 }  // namespace bnr::baselines

@@ -9,6 +9,7 @@
 #include "dkg/pedersen_dkg.hpp"
 #include "pairing/pairing.hpp"
 #include "threshold/params.hpp"
+#include "threshold/rlc_fold.hpp"
 
 namespace bnr::baselines {
 
@@ -37,6 +38,13 @@ class BoldyrevaBls {
  public:
   explicit BoldyrevaBls(threshold::SystemParams params)
       : params_(std::move(params)) {}
+
+  /// The prepared G2 generator, shared by every verifier made from this
+  /// scheme object or its copies.
+  using Generators = threshold::PreparedGenerators<1>::Tables;
+  std::shared_ptr<const Generators> generators() const {
+    return generators_.get();
+  }
 
   /// Trusted dealer keygen.
   BlsKeyMaterial dealer_keygen(size_t n, size_t t, Rng& rng) const;
@@ -73,28 +81,30 @@ class BoldyrevaBls {
 
  private:
   threshold::SystemParams params_;
+  threshold::PreparedGenerators<1> generators_{
+      {G2Curve::generator_affine()}};
 };
 
 /// Cached verifier for one BLS public key: prepared lines for the fixed G2
-/// generator and for pk, so Verify pays 2 prepared Miller evaluations + one
-/// final exponentiation, and batch_verify folds N signatures into that same
-/// 2-pairing product via 128-bit random linear combination.
+/// generator (shared by the scheme) and for pk, so Verify pays 2 prepared
+/// Miller evaluations + one final exponentiation.
 class BlsVerifier {
  public:
   BlsVerifier(const BoldyrevaBls& scheme, const BlsPublicKey& pk);
 
   bool verify(std::span<const uint8_t> msg, const G1Affine& sig) const;
-  bool batch_verify(std::span<const Bytes> msgs,
-                    std::span<const G1Affine> sigs, Rng& rng) const;
+  /// e(sigma, g2) e(-H(M), pk) == 1 as one fold equation.
+  bool fold_terms(std::span<const uint8_t> msg, const G1Affine& sig,
+                  std::vector<threshold::FoldTerm>& out) const;
 
-  /// Resident footprint for the KeyCacheManager byte budget.
-  size_t cache_bytes() const {
-    return sizeof(*this) + gen_.line_bytes() + pk_.line_bytes();
-  }
+  /// Resident per-key footprint (the shared generator table excluded) for
+  /// the KeyCacheManager byte budget.
+  size_t cache_bytes() const { return sizeof(*this) + pk_.line_bytes(); }
 
  private:
   BoldyrevaBls scheme_;
-  G2Prepared gen_, pk_;
+  std::shared_ptr<const BoldyrevaBls::Generators> gen_;  // g2 (shared)
+  G2Prepared pk_;
 };
 
 }  // namespace bnr::baselines

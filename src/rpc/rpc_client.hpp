@@ -4,7 +4,7 @@
 // with full PIPELINING: every request carries a fresh u64 id, a background
 // reader thread matches response frames back to their promises, and any
 // number of requests may be outstanding at once — the daemon completes them
-// out of order (batched folds resolve whole per-tenant groups together).
+// out of order (a flush fold resolves all of its members together).
 //
 // Overload resilience (the part the futures hide):
 //

@@ -894,7 +894,7 @@ bool RpcServer::handle_frame(IoLoop& L, const std::shared_ptr<Conn>& c,
         double cost = std::max(1.0, double(req->items.size()));
         dispatch(L, c, id, {&req->key, false, cost}, std::move(trace),
                  [this, req, deadline](const Reply& r) {
-          // Each item folds into the tenant's per-flush batches like any
+          // Each item folds into the next flush fold like any
           // other submission and settles once; the LAST to settle answers.
           // `outstanding` starts one above the item count — this task's own
           // share, released once every item is staged — so no early verdict

@@ -5,7 +5,12 @@
 // holds the prepared state of every scheme's tenants (keys namespaced by
 // scheme name + pk digest), and ONE MultiTenantVerificationService / ONE
 // MultiTenantCombineService serve RO, DLIN, Agg, and BLS tenants through
-// the same queue and per-key folds.
+// the same queue and one cross-tenant fold per scheme per flush. Folding
+// tenants together is sound because every registered key is validated into
+// the prime-order subgroup (an invalid member passes with probability about
+// 2^-128); STATS `verify_batches` counts these folds and `verify_fallbacks`
+// the failed ones, which bisection attributes in O(f log n) sub-folds (see
+// verification_service.hpp).
 //
 // Threading model since PR 7 — N IO loops, M crypto workers:
 //

@@ -228,7 +228,8 @@ struct SchemeStatsRow {
   uint64_t tenants = 0;
   uint64_t deduped = 0;          // registrations aliased onto a known pk
   uint64_t verify_submitted = 0;
-  uint64_t verify_batches = 0;   // per-tenant RLC folds executed
+  uint64_t verify_batches = 0;   // flush folds executed (one per scheme
+                                 // per flush, across tenants)
   uint64_t verify_fallbacks = 0;
   uint64_t verify_accepted = 0;
   uint64_t verify_rejected = 0;

@@ -1,11 +1,11 @@
 // Multi-tenant key-cache manager: a sharded, thread-safe SEGMENTED LRU of
 // prepared verifier state (RoVerifier / DlinVerifier / BlsVerifier /
 // RoCombiner-style objects holding G2Prepared Miller-loop lines). Millions
-// of tenant keys do not fit the ~70KB-per-prepared-verifier budget, so the
+// of tenant keys do not fit the ~35KB-per-prepared-verifier budget, so the
 // serving layer keeps a bounded working set and re-prepares on miss:
 //
 //  * Eviction is by BYTE budget, not entry count — prepared footprints vary
-//    by scheme (a BLS verifier is two prepared points, a DLIN verifier ten),
+//    by scheme (a BLS verifier is one prepared point, a DLIN verifier six),
 //    and the operator provisions RAM, not entries. Each shard owns
 //    byte_budget / shards and evicts from its own LRU tails.
 //  * Admission is SEGMENTED (SLRU): a new entry lands in the PROBATION
@@ -28,7 +28,7 @@
 //    never blocks a hit.
 //  * `add_alias` maps a tenant key-id onto a CANONICAL key (e.g. a digest of
 //    the public key). Tenants sharing a public key thereby share ONE
-//    prepared entry instead of preparing ~70KB each — the dedup is counted
+//    prepared entry instead of preparing ~35KB each — the dedup is counted
 //    in `deduped`. Canonical keys must not themselves be aliases (one level
 //    of indirection; the registrar owns that invariant).
 //

@@ -1,5 +1,6 @@
 #include "service/verification_service.hpp"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "obs/log.hpp"
@@ -157,9 +158,9 @@ obs::HistogramSnapshot MultiTenantVerificationService::latency() const {
   return s;
 }
 
-// Moves the pending batch out, splits it into per-key groups (arrival
-// order preserved within each group), and hands each group to the pool as
-// its own fold task. Caller holds m_.
+// Moves the pending batch out, splits it into one fold group per SchemeId
+// (arrival order preserved within each group), and hands each group to the
+// pool as its own fold task. Caller holds m_.
 void MultiTenantVerificationService::dispatch_locked(
     std::unique_lock<std::mutex>&, bool deadline) {
   std::vector<Pending> batch;
@@ -168,18 +169,17 @@ void MultiTenantVerificationService::dispatch_locked(
   if (deadline) ++total_.deadline_flushes;
 
   std::vector<Group> groups;
-  {
-    std::unordered_map<KeyId, size_t> pos;
-    for (auto& p : batch) {
-      auto [it, fresh] = pos.try_emplace(p.key, groups.size());
-      if (fresh) groups.push_back(Group{p.key, {}});
-      groups[it->second].members.push_back(std::move(p));
-    }
+  for (auto& p : batch) {
+    auto it = std::find_if(groups.begin(), groups.end(), [&](const Group& g) {
+      return g.scheme == p.sig.scheme;
+    });
+    if (it == groups.end()) it = groups.insert(it, Group{p.sig.scheme, {}});
+    it->members.push_back(std::move(p));
   }
 
   for (auto& g : groups) {
     ++total_.batches;
-    ++slice_locked(g.members.front().sig.scheme).batches;
+    ++slice_locked(g.scheme).batches;
     if (obs::enabled())
       for (auto& p : g.members)
         if (p.trace) p.trace->stamp(obs::Stage::kFrozen);
@@ -192,29 +192,27 @@ void MultiTenantVerificationService::dispatch_locked(
       try {
         run_group(*shared, *rng_shared);
       } catch (...) {
-        // A throwing verifier/provider (or bad_alloc) must not escape the
-        // worker (std::terminate) or strand the submitters: every callback
-        // not yet invoked carries the exception instead. These completions
-        // are neither verdicts nor sheds — they are counted as `errors`
-        // (stats BEFORE callbacks, like every other outcome) so the
-        // accounting identity keeps holding after a failure.
+        // A throwing verifier (or bad_alloc) must not escape the worker
+        // (std::terminate) or strand the submitters: every callback not yet
+        // invoked carries the exception instead. These completions are
+        // neither verdicts nor sheds — they are counted as `errors` (stats
+        // BEFORE callbacks, like every other outcome) so the accounting
+        // identity keeps holding after a failure.
         std::exception_ptr err = std::current_exception();
         uint64_t errors = 0;
         for (auto& p : shared->members)
           if (p.done) ++errors;
         if (errors) {
-          const threshold::SchemeId scheme =
-              shared->members.front().sig.scheme;
           {
             std::lock_guard<std::mutex> l(m_);
-            ServiceStats& slice = slice_locked(scheme);
+            ServiceStats& slice = slice_locked(shared->scheme);
             total_.errors += errors;
             slice.errors += errors;
             total_.in_progress -= errors;
             slice.in_progress -= errors;
           }
           BNR_LOG(obs::LogLevel::kError, "service", "verify_group_error",
-                  obs::kv("key", shared->key) +
+                  obs::kv("scheme", uint64_t(shared->scheme)) +
                       obs::kv("members", uint64_t(errors)));
         }
         for (auto& p : shared->members) {
@@ -230,7 +228,7 @@ void MultiTenantVerificationService::dispatch_locked(
 }
 
 void MultiTenantVerificationService::run_group(Group& group, Rng& rng) {
-  const threshold::SchemeId scheme = group.members.front().sig.scheme;
+  const threshold::SchemeId scheme = group.scheme;
   if (auto* f = rpc::FaultInjector::active()) f->on_task();
   // Deadline-aware shedding: members whose budget is already spent are
   // answered with DeadlineShed NOW, before this group pays for a prepare or
@@ -256,70 +254,103 @@ void MultiTenantVerificationService::run_group(Group& group, Rng& rng) {
     }
     if (group.members.empty()) return;
   }
-  if (obs::enabled())
-    for (auto& p : group.members)
-      if (p.trace) p.trace->stamp(obs::Stage::kCryptoStart);
-  // Pinned for the whole fold + fallback: the cache may not evict this
-  // tenant's prepared state mid-batch, however hot the other shard traffic.
-  // The provider only runs on a miss, which is how the per-scheme cache
-  // hit/miss split is observed without the cache knowing about schemes.
-  bool missed = false;
-  auto pin = cache_.get_or_prepare(group.key, [&](const KeyId& canonical) {
-    missed = true;
-    return prepare_(canonical);
-  });
   auto& batch = group.members;
-  std::vector<Bytes> msgs;
-  std::vector<threshold::SigHandle> sigs;
-  msgs.reserve(batch.size());
-  sigs.reserve(batch.size());
-  for (auto& p : batch) {
-    msgs.push_back(p.msg);
-    sigs.push_back(p.sig);
-  }
-  bool all_ok = pin->batch_verify(msgs, sigs, rng);
-  std::vector<bool> results(batch.size(), true);
-  uint64_t accepted = batch.size(), rejected = 0;
-  if (!all_ok) {
-    // Attribute the failure: one cached verify per member. Only THIS key's
-    // group pays — other tenants' folds are untouched.
-    accepted = 0;
-    for (size_t j = 0; j < batch.size(); ++j) {
-      results[j] = pin->verify(batch[j].msg, batch[j].sig);
-      (results[j] ? accepted : rejected)++;
+  if (obs::enabled())
+    for (auto& p : batch)
+      if (p.trace) p.trace->stamp(obs::Stage::kCryptoStart);
+  // One pin per distinct key, held for the whole fold + bisection: the
+  // cache may not evict a tenant's prepared state mid-batch. The provider
+  // only runs on a miss, which is how the per-scheme cache hit/miss split is
+  // observed without the cache knowing about schemes. A key whose provider
+  // throws answers only its own members, with the error.
+  struct KeyPin {
+    KeyCacheManager<threshold::PreparedVerifier>::Pin pin;
+    std::exception_ptr error;
+  };
+  std::unordered_map<KeyId, KeyPin> pins;
+  uint64_t misses = 0;
+  std::vector<KeyPin*> member_pin(batch.size());
+  for (size_t j = 0; j < batch.size(); ++j) {
+    auto [it, fresh] = pins.try_emplace(batch[j].key);
+    member_pin[j] = &it->second;
+    if (!fresh) continue;
+    try {
+      it->second.pin =
+          cache_.get_or_prepare(it->first, [&](const KeyId& canonical) {
+            ++misses;
+            return prepare_(canonical);
+          });
+    } catch (...) {
+      it->second.error = std::current_exception();
     }
   }
+  // ONE fold over every member of every key. Members whose key failed to
+  // prepare, or whose verifier refuses the handle (wrong scheme, null), are
+  // decided before the fold and never enter it.
+  threshold::RlcFold fold;
+  std::vector<size_t> folded;  // fold member -> batch index
+  std::vector<bool> results(batch.size(), false);
+  uint64_t errors = 0;
+  for (size_t j = 0; j < batch.size(); ++j) {
+    const KeyPin& kp = *member_pin[j];
+    if (kp.error) {
+      ++errors;
+      continue;
+    }
+    if (fold.add([&](std::vector<threshold::FoldTerm>& out) {
+          return kp.pin->fold_terms(batch[j].msg, batch[j].sig, out);
+        }))
+      folded.push_back(j);
+  }
+  fold.seal(rng);
+  bool fold_failed = false;
+  std::vector<bool> verdicts = fold.verdicts(
+      [&](size_t i) {
+        const Pending& p = batch[folded[i]];
+        return member_pin[folded[i]]->pin->verify(p.msg, p.sig);
+      },
+      &fold_failed);
+  for (size_t i = 0; i < folded.size(); ++i) results[folded[i]] = verdicts[i];
+  uint64_t accepted = 0;
+  for (bool ok : results) accepted += ok;
+  const uint64_t rejected = batch.size() - errors - accepted;
   {
     // Stats are committed BEFORE the promises resolve, so a caller that
     // observes a ready future also observes its batch in stats().
     std::lock_guard<std::mutex> l(m_);
     ServiceStats& slice = slice_locked(scheme);
-    ++total_.cache_lookups;
-    ++slice.cache_lookups;
-    if (missed) {
-      ++total_.cache_misses;
-      ++slice.cache_misses;
-    }
-    if (!all_ok) {
+    total_.cache_lookups += pins.size();
+    slice.cache_lookups += pins.size();
+    total_.cache_misses += misses;
+    slice.cache_misses += misses;
+    if (fold_failed) {
       ++total_.fallbacks;
       ++slice.fallbacks;
     }
     total_.accepted += accepted;
     total_.rejected += rejected;
+    total_.errors += errors;
     slice.accepted += accepted;
     slice.rejected += rejected;
+    slice.errors += errors;
     total_.in_progress -= batch.size();
     slice.in_progress -= batch.size();
   }
+  if (errors)
+    BNR_LOG(obs::LogLevel::kError, "service", "verify_key_error",
+            obs::kv("scheme", uint64_t(scheme)) +
+                obs::kv("members", errors));
   if (obs::enabled()) {
     // Latency records alongside the verdict commit (also before the
     // callbacks), so histogram totals and the accepted/rejected counters
-    // can never disagree for an observer.
+    // can never disagree for an observer. Errors record no latency.
     auto now = std::chrono::steady_clock::now();
     obs::Histogram& hist = latency_[scheme_stats_slot(scheme)];
-    for (auto& p : batch) {
+    for (size_t j = 0; j < batch.size(); ++j) {
+      const Pending& p = batch[j];
       if (p.trace) p.trace->stamp(obs::Stage::kCryptoDone);
-      if (p.submitted_at.time_since_epoch().count() != 0)
+      if (!member_pin[j]->error &&
+          p.submitted_at.time_since_epoch().count() != 0)
         hist.record(static_cast<uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 now - p.submitted_at)
@@ -327,7 +358,7 @@ void MultiTenantVerificationService::run_group(Group& group, Rng& rng) {
     }
   }
   for (size_t j = 0; j < batch.size(); ++j) {
-    batch[j].done(results[j], nullptr);
+    batch[j].done(results[j], member_pin[j]->error);
     batch[j].done = nullptr;
   }
 }
@@ -522,14 +553,11 @@ threshold::Signature combine_parallel(
     std::span<const uint8_t> msg,
     std::span<const threshold::PartialSignature> parts, Rng& rng,
     std::vector<uint32_t>* cheaters) {
+  auto evaluate = make_fold_evaluator(pool);
   return combiner.combine_with(
       msg, parts, rng,
-      [&pool](const threshold::RoCombiner::Fold& fold) {
-        std::vector<PreparedTerm> terms;
-        terms.reserve(fold.points.size());
-        for (size_t j = 0; j < fold.points.size(); ++j)
-          terms.push_back({fold.points[j], fold.preps[j]});
-        return pairing_product_is_one_parallel(pool, terms);
+      [&](const threshold::RoCombiner::Fold& fold) {
+        return evaluate(fold.points, fold.preps);
       },
       cheaters);
 }

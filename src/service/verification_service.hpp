@@ -2,32 +2,38 @@
 // SCHEME-AGNOSTIC: callers submit (key-id, message, erased signature
 // handle) and get a future; the service accumulates requests and flushes
 // when the batch reaches `max_batch` OR the oldest request has waited
-// `max_delay`. A flush groups the pending requests PER KEY-ID and folds
-// each group with ONE RLC pairing product — distinct keys can NEVER share a
-// fold: each tenant's verification equation uses its own prepared G2
-// inputs, and mixing tenants in one fold would let a forgery under key B
-// invalidate (or, with adversarial coefficients, be masked inside) key A's
-// batch. Only when a group's fold fails does the service re-verify that
-// group's members individually to attribute the failure — so invalid
-// submissions cost extra work but can never poison the answer for honest
-// ones, and never for other tenants.
+// `max_delay`. A flush becomes ONE RLC fold per SchemeId over every tenant
+// key in it (threshold::RlcFold): each member's equation is folded with its
+// own independent 128-bit coefficient(s), drawn after the flush is frozen,
+// and terms on the same prepared base merge — the scheme's shared
+// generators (g^_z, g^_r, ...) once per flush, each key's own tables once
+// per key. In a prime-order group this is sound across signers: a fold
+// holding any invalid member, under whichever key, passes with probability
+// ~2^-128 (every registered key is validated into the G2 subgroup and G1
+// has cofactor 1), so a forgery under key B can neither invalidate nor hide
+// inside key A's answers. A failed fold is attributed by bisection over the
+// already hashed and decoded members, O(f log n) sub-folds for f invalid
+// members among n, with each single-member leaf decided by that member's
+// exact verify under its own key — so every verdict equals the member's
+// exact verify, and invalid submissions cost extra work but never poison
+// honest answers.
 //
 // Since PR 5 there is exactly ONE service implementation for every
 // signature family: requests carry `threshold::SigHandle` (the signature
 // parsed once at the boundary) and verifiers are the type-erased
 // `threshold::PreparedVerifier` out of a single shared KeyCacheManager —
 // RO, DLIN, Agg, and BLS tenants all flow through the same queue, the same
-// per-key fold grouping, and the same cache, with per-SchemeId stats split
+// fold engine, and the same cache, with per-SchemeId stats split
 // out for observability. The pre-PR-5 per-scheme templated services (and
 // their deprecated single-tenant shims) are gone; construct a provider over
 // `Scheme::make_verifier` instead.
 //
-// Verifiers are not owned by the service: they are pinned out of the shared
-// `KeyCacheManager` for the duration of each group's fold (prepared state
+// Verifiers are not owned by the service: each distinct key in a flush is
+// pinned out of the shared `KeyCacheManager` for the fold (prepared state
 // for millions of tenant keys does not fit in RAM; see key_cache.hpp), and
 // prepared on miss via a caller-supplied provider.
 //
-// Soundness under concurrency: each group draws its RLC coefficients from a
+// Soundness under concurrency: each fold draws its RLC coefficients from a
 // private Rng forked per flush AFTER the batch contents are frozen (the
 // pending vector is moved out under the lock before coefficients exist), so
 // no submitter can adapt its signature to the coefficients that will fold
@@ -74,7 +80,7 @@ struct BatchPolicy {
 };
 
 /// Raised through a submission's callback when its deadline budget was
-/// already spent before the group's fold ran: the request was SHED, not
+/// already spent before its fold ran: the request was SHED, not
 /// verified. Distinct from RpcError/ProtocolError so the RPC layer can map
 /// it onto the wire's SHED status (attributable, not retryable).
 struct DeadlineShed : std::runtime_error {
@@ -84,12 +90,12 @@ struct DeadlineShed : std::runtime_error {
 
 struct ServiceStats {
   uint64_t submitted = 0;
-  uint64_t batches = 0;          // batch_verify folds executed (one per key
-                                 // group per flush — never across keys)
+  uint64_t batches = 0;          // flush folds: one per SchemeId per flush,
+                                 // over every key in the flush
   uint64_t size_flushes = 0;     // flushes triggered by max_batch
   uint64_t deadline_flushes = 0; // flushes triggered by max_delay
   uint64_t idle_flushes = 0;     // adaptive flushes (pool went idle)
-  uint64_t fallbacks = 0;        // folds that failed -> individual re-verify
+  uint64_t fallbacks = 0;        // flush folds that failed -> bisection
   uint64_t accepted = 0;
   uint64_t rejected = 0;
   uint64_t deadline_sheds = 0;   // expired members dropped before their fold
@@ -101,9 +107,9 @@ struct ServiceStats {
                                  // TIMES, not just at drain:
                                  //   submitted == accepted + rejected +
                                  //     deadline_sheds + errors + in_progress
-  // Service-observed traffic into the shared key cache (one lookup per key
-  // group; a miss ran the provider). Split per SchemeId by stats(SchemeId) —
-  // the cache's own stats cannot attribute by scheme.
+  // Service-observed traffic into the shared key cache (one lookup per
+  // distinct key per fold; a miss ran the provider). Split per SchemeId by
+  // stats(SchemeId) — the cache's own stats cannot attribute by scheme.
   uint64_t cache_lookups = 0;
   uint64_t cache_misses = 0;
 };
@@ -120,7 +126,8 @@ class MultiTenantVerificationService {
   /// key, e.g. "<scheme>:<pk digest>" when the registrar aliased tenants by
   /// public key — so what it derives the verifier from is keyed by what the
   /// cache stores it under, and a concurrent re-registration cannot poison
-  /// the entry. Throwing rejects every request of that key's group.
+  /// the entry. Throwing completes that key's requests in the flush with the
+  /// error (counted in `errors`); other keys in the fold are unaffected.
   using VerifierProvider = std::function<
       std::shared_ptr<const threshold::PreparedVerifier>(const KeyId&)>;
 
@@ -146,8 +153,8 @@ class MultiTenantVerificationService {
       const MultiTenantVerificationService&) = delete;
 
   /// `deadline` is the request's drop-dead time: a member whose deadline has
-  /// passed when its group's fold task starts is SHED — completed with
-  /// DeadlineShed BEFORE the group pays for a prepare or a pairing, so under
+  /// passed when its fold task starts is SHED — completed with
+  /// DeadlineShed BEFORE the fold pays for a prepare or a pairing, so under
   /// overload the pool's capacity goes to requests that can still make their
   /// budget. time_point::max() (the default) never sheds.
   void submit(KeyId key, Bytes msg, threshold::SigHandle sig, Callback done,
@@ -158,7 +165,7 @@ class MultiTenantVerificationService {
   /// Future-based front over the callback core.
   std::future<bool> submit(KeyId key, Bytes msg, threshold::SigHandle sig);
 
-  /// Forces whatever is pending out as one flush (one fold per key).
+  /// Forces whatever is pending out as one flush (one fold per SchemeId).
   void flush();
 
   /// Blocks until no request is pending or in flight.
@@ -174,7 +181,7 @@ class MultiTenantVerificationService {
   /// Aggregate across every scheme.
   ServiceStats stats() const;
   /// The per-scheme slice (requests, folds, fallbacks, verdicts, cache
-  /// lookups/misses attributed to that scheme's groups).
+  /// lookups/misses attributed to that scheme's folds).
   ServiceStats stats(threshold::SchemeId id) const;
 
   /// The aggregate AND every per-scheme slice captured under ONE lock
@@ -206,10 +213,9 @@ class MultiTenantVerificationService {
     std::shared_ptr<obs::RequestTrace> trace;  // null unless obs::enabled()
   };
 
-  /// One per-tenant fold unit: requests sharing a key-id, plus the private
-  /// RNG its RLC coefficients are drawn from.
+  /// One fold unit: a flush's requests of one SchemeId, every key.
   struct Group {
-    KeyId key;
+    threshold::SchemeId scheme{};
     std::vector<Pending> members;
   };
 
@@ -222,7 +228,7 @@ class MultiTenantVerificationService {
   VerifierProvider prepare_;
   BatchPolicy policy_;
   ThreadPool& pool_;
-  Rng rng_;  // master; forked per group (guarded by m_)
+  Rng rng_;  // master; forked per fold (guarded by m_)
 
   mutable std::mutex m_;
   std::condition_variable cv_;        // flusher wake-ups

@@ -185,8 +185,8 @@ Signature AggregateScheme::combine(
   // key), so the batched RLC selection is shared with RoScheme::combine.
   auto h = hash_message(km.pk, msg);  // hashed ONCE, not per partial
   Rng rng = transcript_rng(params_.hash_dst("agg-combine-rlc"), msg, parts);
-  auto valid =
-      select_valid_partials(params_, km.vks, km.n, km.t, h, parts, rng);
+  auto valid = select_valid_partials(*generators(), km.vks, km.n, km.t, h,
+                                     parts, rng);
   RoScheme base(params_);
   return base.combine_unchecked(km.t, valid);
 }
@@ -243,50 +243,25 @@ AggVerifier::AggVerifier(const AggregateScheme& scheme, const AggPublicKey& pk)
     : scheme_(scheme),
       pk_(pk),
       key_valid_(scheme.key_sanity_check(pk)),
-      prep_{G2Prepared(scheme.params().g_z), G2Prepared(scheme.params().g_r),
-            G2Prepared(pk.g[0]), G2Prepared(pk.g[1])} {}
+      gen_(scheme.generators()),
+      key_{G2Prepared(pk.g[0]), G2Prepared(pk.g[1])} {}
 
 bool AggVerifier::verify(std::span<const uint8_t> msg,
                          const Signature& sig) const {
-  if (!key_valid_) return false;
-  auto h = scheme_.hash_message(pk_, msg);
-  std::array<PreparedTerm, 4> terms = {
-      PreparedTerm{sig.z, &prep_[0]},
-      PreparedTerm{sig.r, &prep_[1]},
-      PreparedTerm{h[0], &prep_[2]},
-      PreparedTerm{h[1], &prep_[3]},
-  };
-  return pairing_product_is_one(terms);
+  std::vector<FoldTerm> terms;
+  return fold_terms(msg, sig, terms) && terms_hold(terms);
 }
 
-bool AggVerifier::batch_verify(std::span<const Bytes> msgs,
-                               std::span<const Signature> sigs,
-                               Rng& rng) const {
-  if (msgs.size() != sigs.size())
-    throw std::invalid_argument("agg batch_verify: size mismatch");
+bool AggVerifier::fold_terms(std::span<const uint8_t> msg,
+                             const Signature& sig,
+                             std::vector<FoldTerm>& out) const {
   if (!key_valid_) return false;
-  if (msgs.empty()) return true;
-  const size_t n = msgs.size();
-
-  std::vector<Fr> coeff(n);
-  coeff[0] = Fr::one();
-  for (size_t j = 1; j < n; ++j) coeff[j] = random_rlc_coefficient(rng);
-
-  std::vector<G1> zs, rs, h1s, h2s;
-  for (size_t j = 0; j < n; ++j) {
-    auto h = scheme_.hash_message(pk_, msgs[j]);
-    zs.push_back(G1::from_affine(sigs[j].z));
-    rs.push_back(G1::from_affine(sigs[j].r));
-    h1s.push_back(G1::from_affine(h[0]));
-    h2s.push_back(G1::from_affine(h[1]));
-  }
-  std::array<PreparedTerm, 4> terms = {
-      PreparedTerm{msm<G1>(zs, coeff).to_affine(), &prep_[0]},
-      PreparedTerm{msm<G1>(rs, coeff).to_affine(), &prep_[1]},
-      PreparedTerm{msm<G1>(h1s, coeff).to_affine(), &prep_[2]},
-      PreparedTerm{msm<G1>(h2s, coeff).to_affine(), &prep_[3]},
-  };
-  return pairing_product_is_one(terms);
+  auto h = scheme_.hash_message(pk_, msg);
+  out.push_back({sig.z, &(*gen_)[0]});
+  out.push_back({sig.r, &(*gen_)[1]});
+  out.push_back({h[0], &key_[0]});
+  out.push_back({h[1], &key_[1]});
+  return true;
 }
 
 }  // namespace bnr::threshold

@@ -54,6 +54,12 @@ class AggregateScheme {
 
   const SystemParams& params() const { return params_; }
 
+  /// Prepared (g^_z, g^_r), shared by every verifier made from this scheme
+  /// object or its copies.
+  std::shared_ptr<const RoScheme::Generators> generators() const {
+    return generators_.get();
+  }
+
   dkg::Config dkg_config(size_t n, size_t t) const;
 
   AggKeyMaterial dist_keygen(
@@ -94,11 +100,13 @@ class AggregateScheme {
 
  private:
   SystemParams params_;
+  PreparedGenerators<2> generators_{{params_.g_z, params_.g_r}};
 };
 
-/// Cached verifier for one aggregation-enabled key: prepares the four fixed
-/// G2 inputs once AND runs the key-validity sanity check (itself a product
-/// of four pairings) a single time at construction instead of per verify.
+/// Cached verifier for one aggregation-enabled key: prepares the key's two
+/// G2 inputs once (g^_z, g^_r come from the scheme's shared tables) AND runs
+/// the key-validity sanity check (itself a product of four pairings) a
+/// single time at construction instead of per verify.
 class AggVerifier {
  public:
   AggVerifier(const AggregateScheme& scheme, const AggPublicKey& pk);
@@ -108,21 +116,23 @@ class AggVerifier {
   bool key_valid() const { return key_valid_; }
 
   bool verify(std::span<const uint8_t> msg, const Signature& sig) const;
-  bool batch_verify(std::span<const Bytes> msgs,
-                    std::span<const Signature> sigs, Rng& rng) const;
+  /// The RO-shaped equation over H(PK || M) as one fold equation; false
+  /// (nothing appended) when the key failed its sanity check.
+  bool fold_terms(std::span<const uint8_t> msg, const Signature& sig,
+                  std::vector<FoldTerm>& out) const;
 
-  /// Resident footprint for the KeyCacheManager byte budget.
+  /// Resident per-key footprint (shared generator tables excluded) for the
+  /// KeyCacheManager byte budget.
   size_t cache_bytes() const {
-    size_t b = sizeof(*this);
-    for (const auto& p : prep_) b += p.line_bytes();
-    return b;
+    return sizeof(*this) + key_[0].line_bytes() + key_[1].line_bytes();
   }
 
  private:
   AggregateScheme scheme_;
   AggPublicKey pk_;
   bool key_valid_ = false;
-  std::array<G2Prepared, 4> prep_;  // g^_z, g^_r, g^_1, g^_2
+  std::shared_ptr<const RoScheme::Generators> gen_;  // g^_z, g^_r (shared)
+  std::array<G2Prepared, 2> key_;                     // g^_1, g^_2
 };
 
 }  // namespace bnr::threshold

@@ -201,78 +201,23 @@ bool DlinScheme::share_verify(const DlinVerificationKey& vk,
 
 namespace {
 
-/// Independent RLC coefficient sets for the two Share-Verify equations
-/// (alpha for eq1, beta for eq2); only alpha_0 may be pinned to 1.
-void dlin_rlc_coefficients(size_t m, Rng& rng, std::vector<Fr>& alpha,
-                           std::vector<Fr>& beta) {
-  alpha.resize(m);
-  beta.resize(m);
-  for (size_t j = 0; j < m; ++j) {
-    alpha[j] = j == 0 ? Fr::one() : random_rlc_coefficient(rng);
-    beta[j] = random_rlc_coefficient(rng);
+/// Both DLIN equations over prepared key lines `a` (equation 0) and `b`
+/// (equation 1): e(z, g^_z) e(r, g^_r) prod_k e(H_k, a_k) == 1 and
+/// e(z, h^_z) e(u, h^_u) prod_k e(H_k, b_k) == 1.
+void dlin_terms(const DlinScheme::Generators& gen, const G1Affine& z,
+                const G1Affine& r, const G1Affine& u,
+                const std::array<G1Affine, 3>& h,
+                const std::array<G2Prepared, 3>& a,
+                const std::array<G2Prepared, 3>& b,
+                std::vector<FoldTerm>& out) {
+  out.push_back({z, &gen[0], 0});
+  out.push_back({r, &gen[1], 0});
+  out.push_back({z, &gen[2], 1});
+  out.push_back({u, &gen[3], 1});
+  for (size_t k = 0; k < 3; ++k) {
+    out.push_back({h[k], &a[k], 0});
+    out.push_back({h[k], &b[k], 1});
   }
-}
-
-/// G1 side of the two-equation fold, shared by the stateless and cached
-/// paths: [sum a_j z_j, sum a_j r_j, sum b_j z_j, sum b_j u_j, then per
-/// partial j and k: a_j H_k, b_j H_k], batch-normalized to affine.
-std::vector<G1Affine> dlin_fold_points(
-    const std::array<G1Affine, 3>& h,
-    std::span<const DlinPartialSignature> parts, std::span<const Fr> alpha,
-    std::span<const Fr> beta) {
-  const size_t m = parts.size();
-  std::vector<G1> zs, rs, us;
-  zs.reserve(m);
-  rs.reserve(m);
-  us.reserve(m);
-  for (const auto& p : parts) {
-    zs.push_back(G1::from_affine(p.z));
-    rs.push_back(G1::from_affine(p.r));
-    us.push_back(G1::from_affine(p.u));
-  }
-  std::array<G1, 3> hj;
-  for (size_t k = 0; k < 3; ++k) hj[k] = G1::from_affine(h[k]);
-  std::vector<G1> scaled;
-  scaled.reserve(4 + 6 * m);
-  scaled.push_back(msm<G1>(zs, alpha));
-  scaled.push_back(msm<G1>(rs, alpha));
-  scaled.push_back(msm<G1>(zs, beta));
-  scaled.push_back(msm<G1>(us, beta));
-  for (size_t j = 0; j < m; ++j)
-    for (size_t k = 0; k < 3; ++k) {
-      scaled.push_back(hj[k].mul(alpha[j]));
-      scaled.push_back(hj[k].mul(beta[j]));
-    }
-  return batch_to_affine<G1Curve>(scaled);
-}
-
-/// Both Share-Verify equations of every partial folded into one pairing
-/// product with independent RLC coefficient sets (alpha for eq1, beta for
-/// eq2): 4 + 6m terms, one squaring chain, one final exponentiation.
-bool dlin_batch_share_fold(const SystemParams& params,
-                           std::span<const DlinVerificationKey> vks,
-                           const std::array<G1Affine, 3>& h,
-                           std::span<const DlinPartialSignature> parts,
-                           Rng& rng) {
-  const size_t m = parts.size();
-  if (m == 0) return true;
-  std::vector<Fr> alpha, beta;
-  dlin_rlc_coefficients(m, rng, alpha, beta);
-  auto affine = dlin_fold_points(h, parts, alpha, beta);
-  std::vector<PairingTerm> terms;
-  terms.reserve(4 + 6 * m);
-  terms.push_back({affine[0], params.g_z});
-  terms.push_back({affine[1], params.g_r});
-  terms.push_back({affine[2], params.h_z});
-  terms.push_back({affine[3], params.h_u});
-  for (size_t j = 0; j < m; ++j) {
-    const auto& vk = vks[parts[j].index - 1];
-    for (size_t k = 0; k < 3; ++k) {
-      terms.push_back({affine[4 + 6 * j + 2 * k], vk.u[k]});
-      terms.push_back({affine[4 + 6 * j + 2 * k + 1], vk.z[k]});
-    }
-  }
-  return pairing_product_is_one(terms);
 }
 
 DlinSignature dlin_interpolate(std::span<const DlinPartialSignature> valid) {
@@ -295,26 +240,27 @@ DlinSignature DlinScheme::combine(
     const DlinKeyMaterial& km, std::span<const uint8_t> msg,
     std::span<const DlinPartialSignature> parts) const {
   auto h = hash_message(msg);  // hashed ONCE, not per partial signature
-  std::vector<DlinPartialSignature> candidates;
-  candidates.reserve(parts.size());
-  for (const auto& p : parts)
-    if (p.index >= 1 && p.index <= km.n) candidates.push_back(p);
-  if (candidates.size() >= km.t + 1) {
-    Rng rng =
-        transcript_rng(params_.hash_dst("dlin-combine-rlc"), msg, parts);
-    std::span<const DlinPartialSignature> head(candidates.data(), km.t + 1);
-    if (dlin_batch_share_fold(params_, km.vks, h, head, rng))
-      return dlin_interpolate(head);
-  }
-  // Fold failed: sequential scan, identical to the pre-batching path.
-  std::vector<DlinPartialSignature> valid;
-  for (const auto& p : candidates) {
-    if (share_verify(km.vks[p.index - 1], h, p)) valid.push_back(p);
-    if (valid.size() == km.t + 1) break;
-  }
-  if (valid.size() < km.t + 1)
-    throw std::runtime_error("dlin combine: fewer than t+1 valid shares");
-  return dlin_interpolate(valid);
+  Rng rng = transcript_rng(params_.hash_dst("dlin-combine-rlc"), msg, parts);
+  const auto gen = generators();
+  auto head_holds = [&](std::span<const DlinPartialSignature> head) {
+    std::vector<DlinShareVerifier> checkers;
+    checkers.reserve(head.size());  // the fold points into their tables
+    RlcFold fold;
+    for (const auto& p : head)
+      fold.add([&](std::vector<FoldTerm>& out) {
+        checkers.emplace_back(*gen, km.vks[p.index - 1]);
+        checkers.back().fold_terms(h, p, out);
+        return true;
+      });
+    fold.seal(rng);
+    return fold.holds(0, fold.size());
+  };
+  return dlin_interpolate(select_shares(
+      parts, km.n, km.t, head_holds,
+      [&](const DlinPartialSignature& p) {
+        return share_verify(km.vks[p.index - 1], h, p);
+      },
+      nullptr));
 }
 
 bool DlinScheme::verify(const DlinPublicKey& pk, std::span<const uint8_t> msg,
@@ -334,103 +280,51 @@ bool DlinScheme::verify(const DlinPublicKey& pk, std::span<const uint8_t> msg,
 
 DlinVerifier::DlinVerifier(const DlinScheme& scheme, const DlinPublicKey& pk)
     : scheme_(scheme),
-      gz_(scheme.params().g_z),
-      gr_(scheme.params().g_r),
-      hz_(scheme.params().h_z),
-      hu_(scheme.params().h_u),
+      gen_(scheme.generators()),
       g_{G2Prepared(pk.g[0]), G2Prepared(pk.g[1]), G2Prepared(pk.g[2])},
       h_{G2Prepared(pk.h[0]), G2Prepared(pk.h[1]), G2Prepared(pk.h[2])} {}
 
 bool DlinVerifier::verify(std::span<const uint8_t> msg,
                           const DlinSignature& sig) const {
-  auto h = scheme_.hash_message(msg);
-  std::vector<PreparedTerm> eq1 = {{sig.z, &gz_}, {sig.r, &gr_}};
-  std::vector<PreparedTerm> eq2 = {{sig.z, &hz_}, {sig.u, &hu_}};
-  for (size_t k = 0; k < 3; ++k) {
-    eq1.push_back({h[k], &g_[k]});
-    eq2.push_back({h[k], &h_[k]});
-  }
-  return pairing_product_is_one(eq1) && pairing_product_is_one(eq2);
+  std::vector<FoldTerm> terms;
+  return fold_terms(msg, sig, terms) && terms_hold(terms);
 }
 
-bool DlinVerifier::batch_verify(std::span<const Bytes> msgs,
-                                std::span<const DlinSignature> sigs,
-                                Rng& rng) const {
-  if (msgs.size() != sigs.size())
-    throw std::invalid_argument("dlin batch_verify: size mismatch");
-  if (msgs.empty()) return true;
-  const size_t n = msgs.size();
-
-  // Independent coefficients for the two equations of each signature. The
-  // fold is sound as long as every coefficient after the pinned first one
-  // is nonzero and sampled after the batch is fixed (pinning one
-  // coefficient to 1 is the standard safe optimization).
-  std::vector<Fr> e1(n), e2(n);
-  for (size_t j = 0; j < n; ++j) {
-    e1[j] = j == 0 ? Fr::one() : random_rlc_coefficient(rng);
-    e2[j] = random_rlc_coefficient(rng);
-  }
-
-  std::vector<G1> zs, rs, us;
-  std::array<std::vector<G1>, 3> hs;
-  for (size_t j = 0; j < n; ++j) {
-    auto h = scheme_.hash_message(msgs[j]);
-    zs.push_back(G1::from_affine(sigs[j].z));
-    rs.push_back(G1::from_affine(sigs[j].r));
-    us.push_back(G1::from_affine(sigs[j].u));
-    for (size_t k = 0; k < 3; ++k) hs[k].push_back(G1::from_affine(h[k]));
-  }
-  std::vector<PreparedTerm> terms = {
-      {msm<G1>(zs, e1).to_affine(), &gz_},
-      {msm<G1>(rs, e1).to_affine(), &gr_},
-      {msm<G1>(zs, e2).to_affine(), &hz_},
-      {msm<G1>(us, e2).to_affine(), &hu_},
-  };
-  for (size_t k = 0; k < 3; ++k) {
-    terms.push_back({msm<G1>(hs[k], e1).to_affine(), &g_[k]});
-    terms.push_back({msm<G1>(hs[k], e2).to_affine(), &h_[k]});
-  }
-  return pairing_product_is_one(terms);
+bool DlinVerifier::fold_terms(std::span<const uint8_t> msg,
+                              const DlinSignature& sig,
+                              std::vector<FoldTerm>& out) const {
+  dlin_terms(*gen_, sig.z, sig.r, sig.u, scheme_.hash_message(msg), g_, h_,
+             out);
+  return true;
 }
 
 // ---------------------------------------------------------------------------
 // Cached share verification / batched Combine
 
-DlinShareVerifier::DlinShareVerifier(const G2Prepared* g_z,
-                                     const G2Prepared* g_r,
-                                     const G2Prepared* h_z,
-                                     const G2Prepared* h_u,
+DlinShareVerifier::DlinShareVerifier(const DlinScheme::Generators& gen,
                                      const DlinVerificationKey& vk)
-    : g_z_(g_z),
-      g_r_(g_r),
-      h_z_(h_z),
-      h_u_(h_u),
+    : gen_(&gen),
       u_{G2Prepared(vk.u[0]), G2Prepared(vk.u[1]), G2Prepared(vk.u[2])},
       z_{G2Prepared(vk.z[0]), G2Prepared(vk.z[1]), G2Prepared(vk.z[2])} {}
 
 bool DlinShareVerifier::verify(const std::array<G1Affine, 3>& h,
                                const DlinPartialSignature& sig) const {
-  std::vector<PreparedTerm> eq1 = {{sig.z, g_z_}, {sig.r, g_r_}};
-  std::vector<PreparedTerm> eq2 = {{sig.z, h_z_}, {sig.u, h_u_}};
-  for (size_t k = 0; k < 3; ++k) {
-    eq1.push_back({h[k], &u_[k]});
-    eq2.push_back({h[k], &z_[k]});
-  }
-  return pairing_product_is_one(eq1) && pairing_product_is_one(eq2);
+  std::vector<FoldTerm> terms;
+  fold_terms(h, sig, terms);
+  return terms_hold(terms);
 }
 
 DlinCombiner::DlinCombiner(const DlinScheme& scheme,
                            const DlinKeyMaterial& km)
-    : scheme_(scheme),
-      n_(km.n),
-      t_(km.t),
-      gz_(scheme.params().g_z),
-      gr_(scheme.params().g_r),
-      hz_(scheme.params().h_z),
-      hu_(scheme.params().h_u) {
+    : scheme_(scheme), n_(km.n), t_(km.t), gen_(scheme.generators()) {
   players_.reserve(km.n);
-  for (size_t i = 0; i < km.n; ++i)
-    players_.emplace_back(&gz_, &gr_, &hz_, &hu_, km.vks[i]);
+  for (size_t i = 0; i < km.n; ++i) players_.emplace_back(*gen_, km.vks[i]);
+}
+
+void DlinShareVerifier::fold_terms(const std::array<G1Affine, 3>& h,
+                                   const DlinPartialSignature& sig,
+                                   std::vector<FoldTerm>& out) const {
+  dlin_terms(*gen_, sig.z, sig.r, sig.u, h, u_, z_, out);
 }
 
 bool DlinCombiner::share_verify(const std::array<G1Affine, 3>& h,
@@ -443,28 +337,17 @@ bool DlinCombiner::share_verify(const std::array<G1Affine, 3>& h,
 bool DlinCombiner::batch_share_verify(
     const std::array<G1Affine, 3>& h,
     std::span<const DlinPartialSignature> parts, Rng& rng) const {
-  const size_t m = parts.size();
-  if (m == 0) return true;
   for (const auto& p : parts)
     if (p.index < 1 || p.index > n_)
       throw std::invalid_argument("DlinCombiner: partial index out of range");
-  std::vector<Fr> alpha, beta;
-  dlin_rlc_coefficients(m, rng, alpha, beta);
-  auto affine = dlin_fold_points(h, parts, alpha, beta);
-  std::vector<PreparedTerm> terms;
-  terms.reserve(4 + 6 * m);
-  terms.push_back({affine[0], &gz_});
-  terms.push_back({affine[1], &gr_});
-  terms.push_back({affine[2], &hz_});
-  terms.push_back({affine[3], &hu_});
-  for (size_t j = 0; j < m; ++j) {
-    const auto& sv = players_[parts[j].index - 1];
-    for (size_t k = 0; k < 3; ++k) {
-      terms.push_back({affine[4 + 6 * j + 2 * k], &sv.u_prep(k)});
-      terms.push_back({affine[4 + 6 * j + 2 * k + 1], &sv.z_prep(k)});
-    }
-  }
-  return pairing_product_is_one(terms);
+  RlcFold fold;
+  for (const auto& p : parts)
+    fold.add([&](std::vector<FoldTerm>& out) {
+      players_[p.index - 1].fold_terms(h, p, out);
+      return true;
+    });
+  fold.seal(rng);
+  return fold.holds(0, fold.size());
 }
 
 DlinSignature DlinCombiner::combine(std::span<const uint8_t> msg,
@@ -472,25 +355,15 @@ DlinSignature DlinCombiner::combine(std::span<const uint8_t> msg,
                                     Rng& rng,
                                     std::vector<uint32_t>* cheaters) const {
   auto h = scheme_.hash_message(msg);
-  std::vector<DlinPartialSignature> candidates;
-  candidates.reserve(parts.size());
-  for (const auto& p : parts)
-    if (p.index >= 1 && p.index <= n_) candidates.push_back(p);
-  if (candidates.size() >= t_ + 1) {
-    std::span<const DlinPartialSignature> head(candidates.data(), t_ + 1);
-    if (batch_share_verify(h, head, rng)) return dlin_interpolate(head);
-  }
-  std::vector<DlinPartialSignature> valid;
-  for (const auto& p : candidates) {
-    if (players_[p.index - 1].verify(h, p))
-      valid.push_back(p);
-    else if (cheaters)
-      cheaters->push_back(p.index);
-    if (valid.size() == t_ + 1) break;
-  }
-  if (valid.size() < t_ + 1)
-    throw std::runtime_error("dlin combine: fewer than t+1 valid shares");
-  return dlin_interpolate(valid);
+  return dlin_interpolate(select_shares(
+      parts, n_, t_,
+      [&](std::span<const DlinPartialSignature> head) {
+        return batch_share_verify(h, head, rng);
+      },
+      [&](const DlinPartialSignature& p) {
+        return players_[p.index - 1].verify(h, p);
+      },
+      cheaters));
 }
 
 DlinSignature DlinCombiner::combine(std::span<const uint8_t> msg,

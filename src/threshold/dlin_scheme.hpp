@@ -12,6 +12,7 @@
 #include "dkg/pedersen_dkg.hpp"
 #include "pairing/pairing.hpp"
 #include "threshold/params.hpp"
+#include "threshold/rlc_fold.hpp"
 
 namespace bnr::threshold {
 
@@ -71,6 +72,13 @@ class DlinScheme {
 
   const SystemParams& params() const { return params_; }
 
+  /// Prepared (g^_z, g^_r, h^_z, h^_u), shared by every verifier and
+  /// combiner made from this scheme object or its copies.
+  using Generators = PreparedGenerators<4>::Tables;
+  std::shared_ptr<const Generators> generators() const {
+    return generators_.get();
+  }
+
   /// m = 9 secrets (a_k, b_k, c_k)_{k=1..3}; 6 commitment rows (V^ and W^).
   dkg::Config dkg_config(size_t n, size_t t) const;
 
@@ -105,56 +113,64 @@ class DlinScheme {
 
  private:
   SystemParams params_;
+  PreparedGenerators<4> generators_{
+      {params_.g_z, params_.g_r, params_.h_z, params_.h_u}};
 };
 
-/// Cached verifier for the DLIN variant: prepares all ten fixed G2 inputs
-/// (g^_z, g^_r, h^_z, h^_u and the six key elements) once. `batch_verify`
-/// folds BOTH verification equations of every signature into a single
-/// 10-pairing product with independent 128-bit RLC coefficients per
-/// (signature, equation) pair.
+/// Cached verifier for the DLIN variant: prepares the six key elements once
+/// (g^_z, g^_r, h^_z, h^_u come from the scheme's shared tables). Its fold
+/// terms describe BOTH verification equations, so a fold draws independent
+/// 128-bit RLC coefficients per (signature, equation) pair.
 class DlinVerifier {
  public:
   DlinVerifier(const DlinScheme& scheme, const DlinPublicKey& pk);
 
   bool verify(std::span<const uint8_t> msg, const DlinSignature& sig) const;
-  bool batch_verify(std::span<const Bytes> msgs,
-                    std::span<const DlinSignature> sigs, Rng& rng) const;
+  /// Equation 0: e(z, g^_z) e(r, g^_r) prod_k e(H_k, g^_k) == 1;
+  /// equation 1: e(z, h^_z) e(u, h^_u) prod_k e(H_k, h^_k) == 1.
+  bool fold_terms(std::span<const uint8_t> msg, const DlinSignature& sig,
+                  std::vector<FoldTerm>& out) const;
 
-  /// Resident footprint (object + the ten cached line tables) for the
-  /// KeyCacheManager byte budget.
+  /// Resident per-key footprint (object + the six key line tables; shared
+  /// generator tables excluded) for the KeyCacheManager byte budget.
   size_t cache_bytes() const {
-    size_t b = sizeof(*this) + gz_.line_bytes() + gr_.line_bytes() +
-               hz_.line_bytes() + hu_.line_bytes();
+    size_t b = sizeof(*this);
     for (size_t k = 0; k < 3; ++k) b += g_[k].line_bytes() + h_[k].line_bytes();
     return b;
   }
 
  private:
   DlinScheme scheme_;
-  G2Prepared gz_, gr_, hz_, hu_;
+  std::shared_ptr<const DlinScheme::Generators> gen_;  // g^_z g^_r h^_z h^_u
   std::array<G2Prepared, 3> g_, h_;
 };
 
 /// Per-player cached share verifier for the DLIN variant: prepared lines of
-/// the six per-player key elements (U^_{k,i}, Z^_{k,i}); the four shared
-/// generators are non-owning pointers kept alive by the DlinCombiner.
+/// the six per-player key elements (U^_{k,i}, Z^_{k,i}); the four
+/// generators are the scheme's shared tables (non-owning; the DlinCombiner
+/// keeps them alive).
 class DlinShareVerifier {
  public:
-  DlinShareVerifier(const G2Prepared* g_z, const G2Prepared* g_r,
-                    const G2Prepared* h_z, const G2Prepared* h_u,
+  DlinShareVerifier(const DlinScheme::Generators& gen,
                     const DlinVerificationKey& vk);
 
   bool verify(const std::array<G1Affine, 3>& h,
               const DlinPartialSignature& sig) const;
 
-  const G2Prepared& u_prep(size_t k) const { return u_[k]; }
-  const G2Prepared& z_prep(size_t k) const { return z_[k]; }
+  /// Both Share-Verify equations as fold equations 0 and 1 (see RlcFold).
+  void fold_terms(const std::array<G1Affine, 3>& h,
+                  const DlinPartialSignature& sig,
+                  std::vector<FoldTerm>& out) const;
+
+  /// Heap bytes of the player's six key-element line tables.
+  size_t line_bytes() const {
+    size_t b = 0;
+    for (size_t k = 0; k < 3; ++k) b += u_[k].line_bytes() + z_[k].line_bytes();
+    return b;
+  }
 
  private:
-  const G2Prepared* g_z_;
-  const G2Prepared* g_r_;
-  const G2Prepared* h_z_;
-  const G2Prepared* h_u_;
+  const DlinScheme::Generators* gen_;  // g^_z, g^_r, h^_z, h^_u
   std::array<G2Prepared, 3> u_, z_;
 };
 
@@ -162,8 +178,7 @@ class DlinShareVerifier {
 /// equations of all t+1 candidates into one product of 4 + 6(t+1) pairings
 /// (independent RLC coefficient sets per equation), instead of t+1 pairs of
 /// 8-pairing products. Falls back to cached per-partial verification to
-/// identify cheaters only when the fold fails. Not movable (per-player
-/// verifiers point at the shared generator preparations).
+/// identify cheaters only when the fold fails.
 class DlinCombiner {
  public:
   DlinCombiner(const DlinScheme& scheme, const DlinKeyMaterial& km);
@@ -188,22 +203,19 @@ class DlinCombiner {
                         std::span<const DlinPartialSignature> parts,
                         std::vector<uint32_t>* cheaters = nullptr) const;
 
-  /// Resident footprint (shared generator lines + every player's six cached
-  /// key-element lines) for the KeyCacheManager byte budget.
+  /// Resident footprint (every player's six cached key-element lines; the
+  /// shared generator tables are paid once per scheme) for the
+  /// KeyCacheManager byte budget.
   size_t cache_bytes() const {
-    size_t b = sizeof(*this) + gz_.line_bytes() + gr_.line_bytes() +
-               hz_.line_bytes() + hu_.line_bytes() +
-               players_.capacity() * sizeof(DlinShareVerifier);
-    for (const auto& p : players_)
-      for (size_t k = 0; k < 3; ++k)
-        b += p.u_prep(k).line_bytes() + p.z_prep(k).line_bytes();
+    size_t b = sizeof(*this) + players_.capacity() * sizeof(DlinShareVerifier);
+    for (const auto& p : players_) b += p.line_bytes();
     return b;
   }
 
  private:
   DlinScheme scheme_;
   size_t n_ = 0, t_ = 0;
-  G2Prepared gz_, gr_, hz_, hu_;
+  std::shared_ptr<const DlinScheme::Generators> gen_;  // shared
   std::vector<DlinShareVerifier> players_;
 };
 

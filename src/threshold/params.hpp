@@ -4,9 +4,13 @@
 // plus the message hash H : {0,1}* -> G x G.
 #pragma once
 
+#include <array>
+#include <memory>
+#include <mutex>
 #include <string>
 
 #include "curve/hash_to_curve.hpp"
+#include "pairing/pairing.hpp"
 
 namespace bnr::threshold {
 
@@ -31,5 +35,38 @@ struct SystemParams {
 /// invalid batch pass with probability at most ~N/2^128, while keeping the
 /// MSM windows half as deep as full-width scalars would.
 Fr random_rlc_coefficient(Rng& rng);
+
+/// Miller-loop line tables of N fixed G2 system generators (g^_z, g^_r, ...),
+/// prepared once on first use and shared by every copy of the scheme object
+/// holding this, and by every verifier and combiner that scheme makes. The
+/// tables are handed out by shared_ptr, so a cached verifier keeps them alive
+/// however long it outlives its scheme. Thread-safe.
+template <size_t N>
+class PreparedGenerators {
+ public:
+  using Tables = std::array<G2Prepared, N>;
+
+  explicit PreparedGenerators(const std::array<G2Affine, N>& points)
+      : state_(std::make_shared<State>(points)) {}
+
+  std::shared_ptr<const Tables> get() const {
+    std::call_once(state_->once, [this] {
+      auto tables = std::make_shared<Tables>();
+      for (size_t i = 0; i < N; ++i)
+        (*tables)[i] = G2Prepared(state_->points[i]);
+      state_->tables = std::move(tables);
+    });
+    return state_->tables;
+  }
+
+ private:
+  struct State {
+    explicit State(const std::array<G2Affine, N>& p) : points(p) {}
+    std::array<G2Affine, N> points;
+    std::once_flag once;
+    std::shared_ptr<const Tables> tables;
+  };
+  std::shared_ptr<State> state_;
+};
 
 }  // namespace bnr::threshold

@@ -215,119 +215,39 @@ Signature RoScheme::combine(const KeyMaterial& km,
                             std::span<const PartialSignature> parts) const {
   auto h = hash_message(msg);  // hashed ONCE, not per partial signature
   Rng rng = transcript_rng(params_.hash_dst("combine-rlc"), msg, parts);
-  auto valid =
-      select_valid_partials(params_, km.vks, km.n, km.t, h, parts, rng);
+  auto valid = select_valid_partials(*generators(), km.vks, km.n, km.t, h,
+                                     parts, rng);
   return combine_unchecked(km.t, valid);
 }
 
 // ---------------------------------------------------------------------------
 // Batched share verification (the Combine hot path)
 
-namespace {
-
-/// RLC coefficients for a fold of `n` terms: the first pinned to 1, the rest
-/// uniform nonzero 128-bit scalars.
-std::vector<Fr> rlc_coefficients(size_t n, Rng& rng) {
-  std::vector<Fr> coeff(n);
-  if (n == 0) return coeff;
-  coeff[0] = Fr::one();
-  for (size_t j = 1; j < n; ++j) coeff[j] = random_rlc_coefficient(rng);
-  return coeff;
-}
-
-/// G1 side of the folded Share-Verify product, shared by the stateless and
-/// cached paths: [sum e_j z_j, sum e_j r_j, then per partial e_j H_1,
-/// e_j H_2], batch-normalized to affine with one inversion.
-std::vector<G1Affine> ro_fold_points(const std::array<G1Affine, 2>& h,
-                                     std::span<const PartialSignature> parts,
-                                     std::span<const Fr> coeff) {
-  const size_t m = parts.size();
-  std::vector<G1> zs, rs;
-  zs.reserve(m);
-  rs.reserve(m);
-  for (const auto& p : parts) {
-    zs.push_back(G1::from_affine(p.z));
-    rs.push_back(G1::from_affine(p.r));
-  }
-  G1 h1 = G1::from_affine(h[0]), h2 = G1::from_affine(h[1]);
-  std::vector<G1> scaled;
-  scaled.reserve(2 * m + 2);
-  scaled.push_back(msm<G1>(zs, coeff));
-  scaled.push_back(msm<G1>(rs, coeff));
-  for (size_t j = 0; j < m; ++j) {
-    scaled.push_back(h1.mul(coeff[j]));
-    scaled.push_back(h2.mul(coeff[j]));
-  }
-  return batch_to_affine<G1Curve>(scaled);
-}
-
-/// The folded Share-Verify product over `parts` with unprepared (on-the-fly)
-/// G2 inputs: used by the stateless combine paths.
-bool batch_share_fold(const SystemParams& params,
-                      std::span<const VerificationKey> vks,
-                      const std::array<G1Affine, 2>& h,
-                      std::span<const PartialSignature> parts, Rng& rng) {
-  const size_t m = parts.size();
-  if (m == 0) return true;
-  auto coeff = rlc_coefficients(m, rng);
-  auto affine = ro_fold_points(h, parts, coeff);
-  std::vector<PairingTerm> terms;
-  terms.reserve(2 * m + 2);
-  terms.push_back({affine[0], params.g_z});
-  terms.push_back({affine[1], params.g_r});
-  for (size_t j = 0; j < m; ++j) {
-    const auto& vk = vks[parts[j].index - 1];
-    terms.push_back({affine[2 + 2 * j], vk.v[0]});
-    terms.push_back({affine[3 + 2 * j], vk.v[1]});
-  }
-  return pairing_product_is_one(terms);
-}
-
-/// Unprepared per-partial Share-Verify (the sequential fallback).
-bool share_verify_one(const SystemParams& params, const VerificationKey& vk,
-                      const std::array<G1Affine, 2>& h,
-                      const PartialSignature& sig) {
-  std::array<PairingTerm, 4> terms = {
-      PairingTerm{sig.z, params.g_z},
-      PairingTerm{sig.r, params.g_r},
-      PairingTerm{h[0], vk.v[0]},
-      PairingTerm{h[1], vk.v[1]},
-  };
-  return pairing_product_is_one(terms);
-}
-
-}  // namespace
-
 std::vector<PartialSignature> select_valid_partials(
-    const SystemParams& params, std::span<const VerificationKey> vks, size_t n,
-    size_t t, const std::array<G1Affine, 2>& h,
+    const RoScheme::Generators& gen, std::span<const VerificationKey> vks,
+    size_t n, size_t t, const std::array<G1Affine, 2>& h,
     std::span<const PartialSignature> parts, Rng& rng,
     std::vector<uint32_t>* cheaters) {
-  std::vector<PartialSignature> candidates;
-  candidates.reserve(parts.size());
-  for (const auto& p : parts)
-    if (p.index >= 1 && p.index <= n) candidates.push_back(p);
-  if (candidates.size() >= t + 1) {
-    // Happy path: one fold over exactly the t+1 partials the sequential scan
-    // would have verified. If they are all honest this is the only pairing
-    // product Combine pays.
-    std::span<const PartialSignature> head(candidates.data(), t + 1);
-    if (batch_share_fold(params, vks, h, head, rng))
-      return {head.begin(), head.end()};
-  }
-  // Fold failed (or too few candidates): sequential scan, identical to the
-  // pre-batching path — verify in input order until t+1 valid are found.
-  std::vector<PartialSignature> valid;
-  for (const auto& p : candidates) {
-    if (share_verify_one(params, vks[p.index - 1], h, p))
-      valid.push_back(p);
-    else if (cheaters)
-      cheaters->push_back(p.index);
-    if (valid.size() == t + 1) break;
-  }
-  if (valid.size() < t + 1)
-    throw std::runtime_error("combine: fewer than t+1 valid shares");
-  return valid;
+  auto checker = [&](const PartialSignature& p) {
+    return RoShareVerifier(gen, vks[p.index - 1]);
+  };
+  auto head_holds = [&](std::span<const PartialSignature> head) {
+    std::vector<RoShareVerifier> checkers;
+    checkers.reserve(head.size());  // the fold points into their tables
+    RlcFold fold;
+    for (const auto& p : head)
+      fold.add([&](std::vector<FoldTerm>& out) {
+        checkers.push_back(checker(p));
+        checkers.back().fold_terms(h, p, out);
+        return true;
+      });
+    fold.seal(rng);
+    return fold.holds(0, fold.size());
+  };
+  return select_shares(
+      parts, n, t, head_holds,
+      [&](const PartialSignature& p) { return checker(p).verify(h, p); },
+      cheaters);
 }
 
 bool RoScheme::verify(const PublicKey& pk, std::span<const uint8_t> msg,
@@ -372,78 +292,51 @@ void RoScheme::refresh(KeyMaterial& km, Rng& rng,
 
 RoVerifier::RoVerifier(const RoScheme& scheme, const PublicKey& pk)
     : scheme_(scheme),
-      prep_{G2Prepared(scheme.params().g_z), G2Prepared(scheme.params().g_r),
-            G2Prepared(pk.g[0]), G2Prepared(pk.g[1])} {}
+      gen_(scheme.generators()),
+      key_{G2Prepared(pk.g[0]), G2Prepared(pk.g[1])} {}
 
 bool RoVerifier::verify(std::span<const uint8_t> msg,
                         const Signature& sig) const {
+  std::vector<FoldTerm> terms;
+  return fold_terms(msg, sig, terms) && terms_hold(terms);
+}
+
+bool RoVerifier::fold_terms(std::span<const uint8_t> msg,
+                            const Signature& sig,
+                            std::vector<FoldTerm>& out) const {
   auto h = scheme_.hash_message(msg);
-  std::array<PreparedTerm, 4> terms = {
-      PreparedTerm{sig.z, &prep_[0]},
-      PreparedTerm{sig.r, &prep_[1]},
-      PreparedTerm{h[0], &prep_[2]},
-      PreparedTerm{h[1], &prep_[3]},
-  };
-  return pairing_product_is_one(terms);
+  out.push_back({sig.z, &(*gen_)[0]});
+  out.push_back({sig.r, &(*gen_)[1]});
+  out.push_back({h[0], &key_[0]});
+  out.push_back({h[1], &key_[1]});
+  return true;
 }
 
-bool RoVerifier::batch_verify(std::span<const Bytes> msgs,
-                              std::span<const Signature> sigs,
-                              Rng& rng) const {
-  if (msgs.size() != sigs.size())
-    throw std::invalid_argument("batch_verify: size mismatch");
-  if (msgs.empty()) return true;
-  const size_t n = msgs.size();
-
-  std::vector<Fr> coeff(n);
-  coeff[0] = Fr::one();  // the first coefficient may be fixed
-  for (size_t j = 1; j < n; ++j) coeff[j] = random_rlc_coefficient(rng);
-
-  std::vector<G1> zs, rs, h1s, h2s;
-  zs.reserve(n);
-  rs.reserve(n);
-  h1s.reserve(n);
-  h2s.reserve(n);
-  for (size_t j = 0; j < n; ++j) {
-    auto h = scheme_.hash_message(msgs[j]);
-    zs.push_back(G1::from_affine(sigs[j].z));
-    rs.push_back(G1::from_affine(sigs[j].r));
-    h1s.push_back(G1::from_affine(h[0]));
-    h2s.push_back(G1::from_affine(h[1]));
-  }
-  std::array<PreparedTerm, 4> terms = {
-      PreparedTerm{msm<G1>(zs, coeff).to_affine(), &prep_[0]},
-      PreparedTerm{msm<G1>(rs, coeff).to_affine(), &prep_[1]},
-      PreparedTerm{msm<G1>(h1s, coeff).to_affine(), &prep_[2]},
-      PreparedTerm{msm<G1>(h2s, coeff).to_affine(), &prep_[3]},
-  };
-  return pairing_product_is_one(terms);
-}
-
-RoShareVerifier::RoShareVerifier(const G2Prepared* g_z, const G2Prepared* g_r,
+RoShareVerifier::RoShareVerifier(const RoScheme::Generators& gen,
                                  const VerificationKey& vk)
-    : g_z_(g_z), g_r_(g_r), vk_{G2Prepared(vk.v[0]), G2Prepared(vk.v[1])} {}
+    : gen_(&gen), vk_{G2Prepared(vk.v[0]), G2Prepared(vk.v[1])} {}
 
 bool RoShareVerifier::verify(const std::array<G1Affine, 2>& h,
                              const PartialSignature& sig) const {
-  std::array<PreparedTerm, 4> terms = {
-      PreparedTerm{sig.z, g_z_},
-      PreparedTerm{sig.r, g_r_},
-      PreparedTerm{h[0], &vk_[0]},
-      PreparedTerm{h[1], &vk_[1]},
-  };
-  return pairing_product_is_one(terms);
+  std::vector<FoldTerm> terms;
+  fold_terms(h, sig, terms);
+  return terms_hold(terms);
+}
+
+void RoShareVerifier::fold_terms(const std::array<G1Affine, 2>& h,
+                                 const PartialSignature& sig,
+                                 std::vector<FoldTerm>& out) const {
+  out.push_back({sig.z, &(*gen_)[0]});
+  out.push_back({sig.r, &(*gen_)[1]});
+  out.push_back({h[0], &vk_[0]});
+  out.push_back({h[1], &vk_[1]});
 }
 
 RoCombiner::RoCombiner(const RoScheme& scheme, const KeyMaterial& km)
-    : scheme_(scheme),
-      n_(km.n),
-      t_(km.t),
-      gz_(scheme.params().g_z),
-      gr_(scheme.params().g_r) {
+    : scheme_(scheme), n_(km.n), t_(km.t), gen_(scheme.generators()) {
   players_.reserve(km.n);
   for (size_t i = 0; i < km.n; ++i)
-    players_.emplace_back(&gz_, &gr_, km.vks[i]);
+    players_.emplace_back(*gen_, km.vks[i]);
 }
 
 bool RoCombiner::share_verify(const std::array<G1Affine, 2>& h,
@@ -456,22 +349,22 @@ bool RoCombiner::share_verify(const std::array<G1Affine, 2>& h,
 RoCombiner::Fold RoCombiner::build_fold(
     const std::array<G1Affine, 2>& h, std::span<const PartialSignature> parts,
     Rng& rng) const {
-  const size_t m = parts.size();
-  Fold fold;
-  if (m == 0) return fold;
   for (const auto& p : parts)
     if (p.index < 1 || p.index > n_)
       throw std::invalid_argument("RoCombiner: partial index out of range");
-  auto coeff = rlc_coefficients(m, rng);
-  fold.points = ro_fold_points(h, parts, coeff);
-  fold.preps.reserve(2 * m + 2);
-  fold.preps.push_back(&gz_);
-  fold.preps.push_back(&gr_);
-  for (const auto& p : parts) {
-    fold.preps.push_back(&players_[p.index - 1].vk_prep(0));
-    fold.preps.push_back(&players_[p.index - 1].vk_prep(1));
+  RlcFold fold;
+  for (const auto& p : parts)
+    fold.add([&](std::vector<FoldTerm>& out) {
+      players_[p.index - 1].fold_terms(h, p, out);
+      return true;
+    });
+  fold.seal(rng);
+  Fold out;
+  for (const PreparedTerm& term : fold.product(0, fold.size())) {
+    out.points.push_back(term.p);
+    out.preps.push_back(term.q);
   }
-  return fold;
+  return out;
 }
 
 namespace {
@@ -496,26 +389,15 @@ Signature RoCombiner::combine_with(
     Rng& rng, const std::function<bool(const Fold&)>& evaluate,
     std::vector<uint32_t>* cheaters) const {
   auto h = scheme_.hash_message(msg);
-  std::vector<PartialSignature> candidates;
-  candidates.reserve(parts.size());
-  for (const auto& p : parts)
-    if (p.index >= 1 && p.index <= n_) candidates.push_back(p);
-  if (candidates.size() >= t_ + 1) {
-    std::span<const PartialSignature> head(candidates.data(), t_ + 1);
-    if (evaluate(build_fold(h, head, rng)))
-      return scheme_.combine_unchecked(t_, head);
-  }
-  // Fold failed: cached per-partial scan, sequential-path semantics.
-  std::vector<PartialSignature> valid;
-  for (const auto& p : candidates) {
-    if (players_[p.index - 1].verify(h, p))
-      valid.push_back(p);
-    else if (cheaters)
-      cheaters->push_back(p.index);
-    if (valid.size() == t_ + 1) break;
-  }
-  if (valid.size() < t_ + 1)
-    throw std::runtime_error("combine: fewer than t+1 valid shares");
+  auto valid = select_shares(
+      parts, n_, t_,
+      [&](std::span<const PartialSignature> head) {
+        return evaluate(build_fold(h, head, rng));
+      },
+      [&](const PartialSignature& p) {
+        return players_[p.index - 1].verify(h, p);
+      },
+      cheaters);
   return scheme_.combine_unchecked(t_, valid);
 }
 

@@ -20,6 +20,7 @@
 #include "dkg/proactive.hpp"
 #include "pairing/pairing.hpp"
 #include "threshold/params.hpp"
+#include "threshold/rlc_fold.hpp"
 
 namespace bnr::threshold {
 
@@ -81,6 +82,13 @@ class RoScheme {
 
   const SystemParams& params() const { return params_; }
 
+  /// Prepared (g^_z, g^_r), shared by every verifier and combiner made from
+  /// this scheme object or its copies.
+  using Generators = PreparedGenerators<2>::Tables;
+  std::shared_ptr<const Generators> generators() const {
+    return generators_.get();
+  }
+
   /// The DKG instantiation: m = 4 secrets (A1,B1,A2,B2), one commitment row
   /// per k with generators (g^_z, g^_r).
   dkg::Config dkg_config(size_t n, size_t t) const;
@@ -135,11 +143,12 @@ class RoScheme {
 
  private:
   SystemParams params_;
+  PreparedGenerators<2> generators_{{params_.g_z, params_.g_r}};
 };
 
-/// Cached verifier for one public key: holds the prepared Miller-loop line
-/// coefficients of the four fixed G2 inputs (g^_z, g^_r, g^_1, g^_2), so each
-/// Verify pays only line evaluations plus the shared final exponentiation.
+/// Cached verifier for one public key: the prepared Miller-loop lines of
+/// the key (g^_1, g^_2) plus the scheme's shared (g^_z, g^_r) tables, so
+/// each Verify pays only line evaluations plus the final exponentiation.
 /// This is the hot-path object a serving deployment keeps per tenant key.
 class RoVerifier {
  public:
@@ -147,61 +156,62 @@ class RoVerifier {
 
   bool verify(std::span<const uint8_t> msg, const Signature& sig) const;
 
-  /// Folds many (message, signature) pairs into ONE product of four pairings
-  /// via a random linear combination with 128-bit coefficients: for random
-  /// nonzero e_j, checks
-  ///   e(sum e_j z_j, g^_z) e(sum e_j r_j, g^_r)
-  ///     e(sum e_j H1_j, g^_1) e(sum e_j H2_j, g^_2) == 1.
-  /// A batch containing any invalid signature passes with probability at
-  /// most ~N/2^128. The four sums are Pippenger MSMs with short scalars.
-  bool batch_verify(std::span<const Bytes> msgs,
-                    std::span<const Signature> sigs, Rng& rng) const;
+  /// The verification equation as one fold equation (see RlcFold):
+  ///   e(z, g^_z) e(r, g^_r) e(H_1, g^_1) e(H_2, g^_2) == 1.
+  bool fold_terms(std::span<const uint8_t> msg, const Signature& sig,
+                  std::vector<FoldTerm>& out) const;
 
-  /// Resident footprint (object + the four cached line tables): what one
-  /// tenant key costs inside a KeyCacheManager byte budget.
+  /// Resident footprint (object + the key's two line tables; the shared
+  /// generator tables are paid once per scheme): what one tenant key costs
+  /// inside a KeyCacheManager byte budget.
   size_t cache_bytes() const {
-    size_t b = sizeof(*this);
-    for (const auto& p : prep_) b += p.line_bytes();
-    return b;
+    return sizeof(*this) + key_[0].line_bytes() + key_[1].line_bytes();
   }
 
  private:
   RoScheme scheme_;
-  std::array<G2Prepared, 4> prep_;  // g^_z, g^_r, g^_1, g^_2
+  std::shared_ptr<const RoScheme::Generators> gen_;  // g^_z, g^_r (shared)
+  std::array<G2Prepared, 2> key_;                     // g^_1, g^_2
 };
 
 /// Per-player cached share verifier: the prepared Miller-loop lines of one
 /// player's verification key (V^_{1,i}, V^_{2,i}). The g^_z/g^_r lines are
-/// identical for every player, so they are shared (non-owning pointers; the
-/// enclosing RoCombiner keeps them alive).
+/// identical for every player, so they are the scheme's shared tables
+/// (non-owning; the enclosing RoCombiner keeps them alive).
 class RoShareVerifier {
  public:
-  RoShareVerifier(const G2Prepared* g_z, const G2Prepared* g_r,
-                  const VerificationKey& vk);
+  RoShareVerifier(const RoScheme::Generators& gen, const VerificationKey& vk);
 
   /// Share-Verify with every G2 input prepared: only line evaluations plus
   /// the final exponentiation remain.
   bool verify(const std::array<G1Affine, 2>& h,
               const PartialSignature& sig) const;
 
-  const G2Prepared& vk_prep(size_t k) const { return vk_[k]; }
+  /// The Share-Verify equation as one fold equation (see RlcFold).
+  void fold_terms(const std::array<G1Affine, 2>& h,
+                  const PartialSignature& sig,
+                  std::vector<FoldTerm>& out) const;
+
+  /// Heap bytes of the player's two VK line tables.
+  size_t line_bytes() const {
+    return vk_[0].line_bytes() + vk_[1].line_bytes();
+  }
 
  private:
-  const G2Prepared* g_z_;
-  const G2Prepared* g_r_;
+  const RoScheme::Generators* gen_;  // g^_z, g^_r
   std::array<G2Prepared, 2> vk_;
 };
 
 /// Serving-side Combine engine for one committee: caches the prepared lines
-/// of g^_z, g^_r and of EVERY player's verification key, and checks all t+1
+/// of EVERY player's verification key (g^_z, g^_r come from the scheme's
+/// shared tables), and checks all t+1
 /// candidate partials with ONE RLC pairing-product fold
 ///   e(sum e_i z_i, g^_z) e(sum e_i r_i, g^_r)
 ///     prod_i [ e(e_i H_1, V^_{1,i}) e(e_i H_2, V^_{2,i}) ] == 1
 /// — 2 + 2(t+1) pairings sharing one squaring chain and one final
 /// exponentiation, instead of t+1 independent 4-pairing products. Falls back
 /// to cached per-partial verification only when the fold fails, to identify
-/// cheaters. Not movable: the per-player verifiers point at the shared
-/// g^_z/g^_r preparations.
+/// cheaters.
 class RoCombiner {
  public:
   RoCombiner(const RoScheme& scheme, const KeyMaterial& km);
@@ -257,20 +267,19 @@ class RoCombiner {
                     std::span<const PartialSignature> parts,
                     std::vector<uint32_t>* cheaters = nullptr) const;
 
-  /// Resident footprint (object + shared generator lines + every player's
-  /// cached VK lines): what one committee costs in a KeyCacheManager budget.
+  /// Resident footprint (object + every player's cached VK lines; the
+  /// shared generator tables are paid once per scheme): what one committee
+  /// costs in a KeyCacheManager budget.
   size_t cache_bytes() const {
-    size_t b = sizeof(*this) + gz_.line_bytes() + gr_.line_bytes() +
-               players_.capacity() * sizeof(RoShareVerifier);
-    for (const auto& p : players_)
-      b += p.vk_prep(0).line_bytes() + p.vk_prep(1).line_bytes();
+    size_t b = sizeof(*this) + players_.capacity() * sizeof(RoShareVerifier);
+    for (const auto& p : players_) b += p.line_bytes();
     return b;
   }
 
  private:
   RoScheme scheme_;
   size_t n_ = 0, t_ = 0;
-  G2Prepared gz_, gr_;
+  std::shared_ptr<const RoScheme::Generators> gen_;  // g^_z, g^_r (shared)
   std::vector<RoShareVerifier> players_;  // index i-1 -> player i
 };
 
@@ -281,11 +290,13 @@ class RoCombiner {
 /// are checked with one RLC fold (coefficients from `rng`), and only on fold
 /// failure does it fall back to the sequential per-partial scan over ALL
 /// candidates, appending the indices of bad partials inspected before the
-/// threshold was reached to `cheaters`. Returns the first t+1 valid partials
-/// in input order; throws std::runtime_error if fewer remain.
+/// threshold was reached to `cheaters`. Each candidate's VK lines are
+/// prepared when first needed; `gen` is the scheme's shared (g^_z, g^_r).
+/// Returns the first t+1 valid partials in input order; throws
+/// std::runtime_error if fewer remain.
 std::vector<PartialSignature> select_valid_partials(
-    const SystemParams& params, std::span<const VerificationKey> vks, size_t n,
-    size_t t, const std::array<G1Affine, 2>& h,
+    const RoScheme::Generators& gen, std::span<const VerificationKey> vks,
+    size_t n, size_t t, const std::array<G1Affine, 2>& h,
     std::span<const PartialSignature> parts, Rng& rng,
     std::vector<uint32_t>* cheaters = nullptr);
 

@@ -21,14 +21,15 @@
 //    input (truncated, trailing bytes, non-canonical points) and must never
 //    let a hostile length field drive an allocation (ByteReader::count).
 //  * `PreparedVerifier` is the cached hot-path object: `verify` must touch
-//    only prepared state (no pairings on fixed inputs), `batch_verify` must
-//    fold the batch with fresh random-linear-combination coefficients drawn
-//    from the PROVIDED Rng (soundness: a batch containing any invalid
-//    signature passes with probability <= ~N/2^128 — and the service layer
-//    guarantees the Rng is forked after the batch is frozen), and
-//    `cache_bytes` must report the full resident footprint including
-//    heap-allocated Miller-loop line tables (the KeyCacheManager evicts by
-//    byte budget; lying starves or bloats the cache).
+//    only prepared state (no pairings on fixed inputs), `fold_terms` must
+//    describe exactly the equations `verify` checks (the RlcFold engine in
+//    rlc_fold.hpp folds members of every key in a flush into one product
+//    and attributes failures with `verify`, so the two disagreeing is a
+//    wrong verdict), system-generator bases must come from the scheme's
+//    shared PreparedGenerators tables, and `cache_bytes` must report the
+//    resident per-key footprint including heap-allocated Miller-loop line
+//    tables, shared tables excluded (the KeyCacheManager evicts by byte
+//    budget; lying starves or bloats the cache).
 //  * Fold soundness for combiners: implementations must never fold partials
 //    of DIFFERENT committees into one product, and on a failed fold must
 //    fall back to per-partial verification so cheaters are attributed
@@ -44,6 +45,7 @@
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "pairing/pairing.hpp"
+#include "threshold/rlc_fold.hpp"
 
 namespace bnr::threshold {
 
@@ -105,14 +107,24 @@ class PreparedVerifier {
   virtual bool verify(std::span<const uint8_t> msg,
                       const SigHandle& sig) const = 0;
 
-  /// Accumulates the whole batch into ONE random-linear-combination fold
-  /// (coefficients from `rng`) and evaluates it as a single pairing product.
-  /// False on a fold failure — the caller attributes via verify().
-  virtual bool batch_verify(std::span<const Bytes> msgs,
-                            std::span<const SigHandle> sigs,
-                            Rng& rng) const = 0;
+  /// Appends the pairing terms of `sig`'s verification equation(s) under
+  /// this key: `sig` is valid iff, for every equation index e, the product
+  /// of e(point, *base) over the appended terms with eq == e is one.
+  /// Returns false, appending nothing, when `sig` cannot verify at all
+  /// (wrong-scheme or null handle, a key that failed its sanity check): the
+  /// caller rejects it without folding it.
+  virtual bool fold_terms(std::span<const uint8_t> msg, const SigHandle& sig,
+                          std::vector<FoldTerm>& out) const = 0;
 
-  /// Resident footprint (object + heap line tables) for the byte-budget
+  /// Folds the batch under this key into ONE RlcFold (coefficients from
+  /// `rng`) and evaluates it as a single pairing product. False on a fold
+  /// failure or a member `fold_terms` refuses. Throws std::invalid_argument
+  /// on a size mismatch.
+  bool batch_verify(std::span<const Bytes> msgs,
+                    std::span<const SigHandle> sigs, Rng& rng) const;
+
+  /// Resident per-key footprint (object + its own heap line tables; the
+  /// scheme's shared generator tables are not counted) for the byte-budget
   /// cache. REQUIRED to be accurate: eviction provisioning depends on it.
   virtual size_t cache_bytes() const = 0;
 };
@@ -226,7 +238,7 @@ PartialHandle erase_partial(SchemeId id, Part part) {
 }
 
 /// Adapter from the concrete verifier shape (RoVerifier / DlinVerifier /
-/// AggVerifier / BlsVerifier: verify, batch_verify, cache_bytes) to the
+/// AggVerifier / BlsVerifier: verify, fold_terms, cache_bytes) to the
 /// erased interface. The SchemeId must match the tag the submitter uses in
 /// erase_signature — the daemon pairs them via the tenant registry.
 template <class Verifier, class Sig>
@@ -243,17 +255,10 @@ class TypedPreparedVerifier final : public PreparedVerifier {
     return v_.verify(msg, *static_cast<const Sig*>(sig.obj.get()));
   }
 
-  bool batch_verify(std::span<const Bytes> msgs,
-                    std::span<const SigHandle> sigs, Rng& rng) const override {
-    std::vector<Sig> typed;
-    typed.reserve(sigs.size());
-    for (const auto& s : sigs) {
-      // A wrong-scheme handle poisons the fold; the caller's per-member
-      // fallback then rejects exactly that member via verify().
-      if (s.scheme != id_ || !s.obj) return false;
-      typed.push_back(*static_cast<const Sig*>(s.obj.get()));
-    }
-    return v_.batch_verify(msgs, typed, rng);
+  bool fold_terms(std::span<const uint8_t> msg, const SigHandle& sig,
+                  std::vector<FoldTerm>& out) const override {
+    if (sig.scheme != id_ || !sig.obj) return false;
+    return v_.fold_terms(msg, *static_cast<const Sig*>(sig.obj.get()), out);
   }
 
   size_t cache_bytes() const override {

@@ -333,8 +333,8 @@ class AggPreparedCombiner final : public PreparedCombiner {
                 std::vector<uint32_t>* cheaters) const override {
     auto typed = unerase_partials<PartialSignature>(SchemeId::kAgg, parts);
     auto h = scheme_.hash_message(pk_, msg);  // H(PK || M), hashed once
-    auto valid = select_valid_partials(scheme_.params(), vks_, n_, t_, h,
-                                       typed, rng, cheaters);
+    auto valid = select_valid_partials(*scheme_.generators(), vks_, n_, t_,
+                                       h, typed, rng, cheaters);
     return RoScheme(scheme_.params()).combine_unchecked(t_, valid).serialize();
   }
 

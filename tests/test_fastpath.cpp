@@ -11,6 +11,7 @@
 #include "threshold/aggregate_scheme.hpp"
 #include "threshold/dlin_scheme.hpp"
 #include "threshold/ro_scheme.hpp"
+#include "threshold/scheme_api.hpp"
 
 namespace bnr {
 namespace {
@@ -177,6 +178,21 @@ RoFixture& ro_fixture() {
   return f;
 }
 
+using threshold::SchemeId;
+
+/// The batch fold over typed signatures, through the erased verifier's
+/// batch_verify (the one RLC engine every scheme shares).
+template <class Verifier, class Sigs>
+bool erased_batch(SchemeId id, const Verifier& v,
+                  std::span<const Bytes> msgs, const Sigs& sigs, Rng& rng) {
+  using Sig = std::decay_t<decltype(*std::begin(sigs))>;
+  auto erased = threshold::erase_verifier<Verifier, Sig>(id, v);
+  std::vector<threshold::SigHandle> handles;
+  for (const auto& s : sigs)
+    handles.push_back(threshold::erase_signature(id, s));
+  return erased->batch_verify(msgs, handles, rng);
+}
+
 TEST(CachedVerifier, MatchesUncachedVerify) {
   auto& f = ro_fixture();
   threshold::RoVerifier verifier(f.scheme, f.km.pk);
@@ -191,6 +207,39 @@ TEST(CachedVerifier, MatchesUncachedVerify) {
   EXPECT_FALSE(verifier.verify(msg, bad));
 }
 
+TEST(CachedVerifier, SharesGeneratorTablesAcrossKeys) {
+  // An RO verifier holds only its key's two line tables: g^_z and g^_r are
+  // the scheme's shared tables, so the per-key footprint is at most 55% of
+  // the four-table verifier, and two keys' fold terms name the same
+  // generator bases (what lets one flush fold merge them).
+  auto& f = ro_fixture();
+  threshold::PublicKey other{{f.km.pk.g[1], f.km.pk.g[0]}};
+  threshold::RoVerifier a(f.scheme, f.km.pk), b(f.scheme, other);
+  const size_t four_tables = sizeof(threshold::RoScheme) +
+                             4 * G2Prepared(f.km.pk.g[0]).footprint_bytes();
+  EXPECT_LE(double(a.cache_bytes()), 0.55 * double(four_tables));
+  EXPECT_GE(double(a.cache_bytes()), 0.45 * double(four_tables));
+
+  Bytes msg = to_bytes("shared generator tables");
+  auto sig = f.sign(msg);
+  std::vector<threshold::FoldTerm> ta, tb;
+  ASSERT_TRUE(a.fold_terms(msg, sig, ta));
+  ASSERT_TRUE(b.fold_terms(msg, sig, tb));
+  ASSERT_EQ(ta.size(), 4u);
+  ASSERT_EQ(tb.size(), 4u);
+  EXPECT_EQ(ta[0].base, tb[0].base);  // g^_z
+  EXPECT_EQ(ta[1].base, tb[1].base);  // g^_r
+  EXPECT_NE(ta[2].base, tb[2].base);  // the keys' own tables
+
+  // The shared tables live as long as any verifier holding them.
+  std::unique_ptr<threshold::RoVerifier> orphan;
+  {
+    threshold::RoScheme scheme(f.sp);
+    orphan = std::make_unique<threshold::RoVerifier>(scheme, f.km.pk);
+  }
+  EXPECT_TRUE(orphan->verify(msg, sig));
+}
+
 TEST(BatchVerify, AcceptsValidBatchRejectsForgery) {
   auto& f = ro_fixture();
   threshold::RoVerifier verifier(f.scheme, f.km.pk);
@@ -201,24 +250,26 @@ TEST(BatchVerify, AcceptsValidBatchRejectsForgery) {
     msgs.push_back(to_bytes("batch message " + std::to_string(j)));
     sigs.push_back(f.sign(msgs.back()));
   }
-  EXPECT_TRUE(verifier.batch_verify(msgs, sigs, rng));
+  const auto kRo = SchemeId::kRo;
+  EXPECT_TRUE(erased_batch(kRo, verifier, msgs, sigs, rng));
   // Empty batch is vacuously valid; mismatched spans throw.
-  EXPECT_TRUE(verifier.batch_verify({}, {}, rng));
-  EXPECT_THROW(verifier.batch_verify(
-                   msgs, std::span<const threshold::Signature>(sigs.data(), 3),
-                   rng),
+  EXPECT_TRUE(erased_batch(kRo, verifier, {},
+                           std::vector<threshold::Signature>{}, rng));
+  EXPECT_THROW(erased_batch(
+                   kRo, verifier, msgs,
+                   std::span<const threshold::Signature>(sigs.data(), 3), rng),
                std::invalid_argument);
   // One forged member poisons the whole batch, wherever it sits.
   for (size_t forged : {size_t(0), sigs.size() - 1}) {
     auto tampered = sigs;
     tampered[forged].r =
         (G1::from_affine(tampered[forged].r) + G1::generator()).to_affine();
-    EXPECT_FALSE(verifier.batch_verify(msgs, tampered, rng));
+    EXPECT_FALSE(erased_batch(kRo, verifier, msgs, tampered, rng));
   }
   // A signature swapped onto the wrong message also fails.
   auto swapped = sigs;
   std::swap(swapped[0], swapped[1]);
-  EXPECT_FALSE(verifier.batch_verify(msgs, swapped, rng));
+  EXPECT_FALSE(erased_batch(kRo, verifier, msgs, swapped, rng));
 }
 
 TEST(BatchVerify, BoldyrevaBaseline) {
@@ -238,10 +289,10 @@ TEST(BatchVerify, BoldyrevaBaseline) {
     sigs.push_back(bls.combine(km, msgs.back(), parts));
     EXPECT_TRUE(verifier.verify(msgs.back(), sigs.back()));
   }
-  EXPECT_TRUE(verifier.batch_verify(msgs, sigs, rng));
+  EXPECT_TRUE(erased_batch(SchemeId::kBls, verifier, msgs, sigs, rng));
   auto tampered = sigs;
   tampered[2] = (G1::from_affine(tampered[2]) + G1::generator()).to_affine();
-  EXPECT_FALSE(verifier.batch_verify(msgs, tampered, rng));
+  EXPECT_FALSE(erased_batch(SchemeId::kBls, verifier, msgs, tampered, rng));
 }
 
 TEST(BatchVerify, DlinVariant) {
@@ -262,10 +313,10 @@ TEST(BatchVerify, DlinVariant) {
     EXPECT_TRUE(dlin.verify(km.pk, msgs.back(), sigs.back()));
     EXPECT_TRUE(verifier.verify(msgs.back(), sigs.back()));
   }
-  EXPECT_TRUE(verifier.batch_verify(msgs, sigs, rng));
+  EXPECT_TRUE(erased_batch(SchemeId::kDlin, verifier, msgs, sigs, rng));
   auto tampered = sigs;
   tampered[1].u = (G1::from_affine(tampered[1].u) + G1::generator()).to_affine();
-  EXPECT_FALSE(verifier.batch_verify(msgs, tampered, rng));
+  EXPECT_FALSE(erased_batch(SchemeId::kDlin, verifier, msgs, tampered, rng));
 }
 
 TEST(BatchVerify, AggregateScheme) {
@@ -287,10 +338,10 @@ TEST(BatchVerify, AggregateScheme) {
     EXPECT_TRUE(agg.verify(km.pk, msgs.back(), sigs.back()));
     EXPECT_TRUE(verifier.verify(msgs.back(), sigs.back()));
   }
-  EXPECT_TRUE(verifier.batch_verify(msgs, sigs, rng));
+  EXPECT_TRUE(erased_batch(SchemeId::kAgg, verifier, msgs, sigs, rng));
   auto tampered = sigs;
   tampered[3].z = (G1::from_affine(tampered[3].z) + G1::generator()).to_affine();
-  EXPECT_FALSE(verifier.batch_verify(msgs, tampered, rng));
+  EXPECT_FALSE(erased_batch(SchemeId::kAgg, verifier, msgs, tampered, rng));
 }
 
 TEST(Combine, MsmCombineMatchesNaiveLagrangeSum) {

@@ -480,7 +480,7 @@ TEST_F(ServiceFixture, CombineServiceProducesValidSignatures) {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-tenant routing: the per-key fold-grouping regression guard. Two
+// Multi-tenant routing: the cross-tenant fold's attribution guard. Two
 // committees under the SAME system parameters, so the only separation
 // between tenants is the key material itself — the strongest setting for a
 // cross-contamination test.
@@ -507,8 +507,9 @@ struct MultiTenantFixture : testfx::RoSchemeFixture {
 
 TEST_F(MultiTenantFixture, DistinctKeysNeverShareAFold) {
   // 8 valid requests for A and 8 for B interleaved into ONE size flush: the
-  // flush must split into (at least) one fold per key — folding across keys
-  // with either tenant's verifier would reject the other tenant's half.
+  // flush is ONE fold over both keys, and every member is checked under its
+  // OWN key's terms — a fold that used either tenant's key for the other's
+  // members would reject that tenant's half.
   ThreadPool pool(4);
   service::KeyCacheManager<PreparedVerifier> cache(
       {.byte_budget = 16u << 20, .shards = 4});
@@ -532,8 +533,8 @@ TEST_F(MultiTenantFixture, DistinctKeysNeverShareAFold) {
   EXPECT_EQ(st.submitted, 16u);
   EXPECT_EQ(st.accepted, 16u);
   EXPECT_EQ(st.rejected, 0u);
-  EXPECT_EQ(st.fallbacks, 0u);  // all-valid per-key folds pass outright
-  EXPECT_GE(st.batches, 2u);    // >= one fold per key
+  EXPECT_EQ(st.fallbacks, 0u);  // the all-valid fold passes outright
+  EXPECT_EQ(st.batches, 1u);    // one fold per flush, across keys
   EXPECT_GE(cache.stats().resident_entries, 2u);
 }
 
@@ -571,8 +572,82 @@ TEST_F(MultiTenantFixture, ForgeriesUnderOneTenantNeverContaminateAnother) {
   EXPECT_EQ(st.submitted, 24u);
   EXPECT_EQ(st.accepted, 12u);   // exactly the honest tenant's requests
   EXPECT_EQ(st.rejected, 12u);   // exactly the forged ones
-  EXPECT_GE(st.fallbacks, 2u);   // each forged-key fold fell back
-  EXPECT_GE(st.batches, 4u);     // 2 rounds x >= 2 per-key folds
+  EXPECT_GE(st.fallbacks, 2u);   // each round's fold failed and bisected
+  EXPECT_EQ(st.batches, 2u);     // 2 rounds x one fold across both keys
+}
+
+TEST_F(MultiTenantFixture, WrongSchemeOrNullHandleNeverPoisonsTheFold) {
+  // A flush of 16 for tenant A in which one member carries a handle of
+  // another scheme (round 0) or a null handle (round 1): that member alone
+  // is rejected, before the fold, and the 15 valid members pass in a fold
+  // that holds — no fallback.
+  ThreadPool pool(2);
+  service::KeyCacheManager<PreparedVerifier> cache(
+      {.byte_budget = 16u << 20, .shards = 1});
+  BatchPolicy policy{.max_batch = 16,
+                     .max_delay = std::chrono::milliseconds(60000)};
+  service::MultiTenantVerificationService svc(cache, provider(), policy,
+                                              pool);
+  constexpr int kBad = 7;
+  for (int round = 0; round < 2; ++round) {
+    std::vector<std::future<bool>> futs;
+    for (int j = 0; j < 16; ++j) {
+      auto [m, s] = make_signed(
+          kmA, "handle " + std::to_string(round) + "/" + std::to_string(j));
+      SigHandle h = erased(s);
+      if (j == kBad)
+        h = round == 0 ? SigHandle{SchemeId::kDlin, h.obj}
+                       : SigHandle{SchemeId::kRo, nullptr};
+      futs.push_back(svc.submit("A", m, h));
+    }
+    for (int j = 0; j < 16; ++j) {
+      ASSERT_EQ(futs[j].wait_for(std::chrono::seconds(120)),
+                std::future_status::ready);
+      EXPECT_EQ(futs[j].get(), j != kBad) << "round " << round << " " << j;
+    }
+    auto st = svc.stats();
+    EXPECT_EQ(st.accepted, 15u * (round + 1));
+    EXPECT_EQ(st.rejected, 1u * (round + 1));
+    EXPECT_EQ(st.fallbacks, 0u);
+  }
+}
+
+TEST_F(MultiTenantFixture, FailingProviderAnswersOnlyItsOwnKey) {
+  // One flush of 8 over tenant A and a tenant whose provider throws: the
+  // broken key's 4 members complete with the error (counted in `errors`),
+  // A's 4 still fold and are accepted, and the accounting identity holds.
+  ThreadPool pool(2);
+  service::KeyCacheManager<PreparedVerifier> cache(
+      {.byte_budget = 16u << 20, .shards = 1});
+  BatchPolicy policy{.max_batch = 8,
+                     .max_delay = std::chrono::milliseconds(60000)};
+  auto inner = provider();
+  service::MultiTenantVerificationService svc(
+      cache,
+      [inner](const std::string& key)
+          -> std::shared_ptr<const PreparedVerifier> {
+        if (key == "broken") throw std::runtime_error("no such key");
+        return inner(key);
+      },
+      policy, pool);
+  std::vector<std::future<bool>> good, bad;
+  for (int j = 0; j < 8; ++j) {
+    auto [m, s] = make_signed(kmA, "provider " + std::to_string(j));
+    (j % 2 ? bad : good).push_back(svc.submit(j % 2 ? "broken" : "A", m,
+                                              erased(s)));
+  }
+  for (auto& f : good) EXPECT_TRUE(f.get());
+  for (auto& f : bad) EXPECT_THROW(f.get(), std::runtime_error);
+  auto st = svc.stats();
+  EXPECT_EQ(st.batches, 1u);
+  EXPECT_EQ(st.accepted, 4u);
+  EXPECT_EQ(st.rejected, 0u);
+  EXPECT_EQ(st.errors, 4u);
+  EXPECT_EQ(st.fallbacks, 0u);
+  EXPECT_EQ(st.in_progress, 0u);
+  EXPECT_EQ(st.cache_lookups, 2u);  // one per distinct key
+  EXPECT_EQ(st.submitted, st.accepted + st.rejected + st.deadline_sheds +
+                              st.errors + st.in_progress);
 }
 
 TEST_F(MultiTenantFixture, CrossTenantSignatureIsRejected) {

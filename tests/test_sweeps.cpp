@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <random>
 
+#include "baselines/boldyreva.hpp"
 #include "common/rng.hpp"
 #include "fixtures.hpp"
 #include "service/parallel.hpp"
@@ -15,7 +16,9 @@
 #include "stdmodel/std_scheme.hpp"
 #include "threshold/aggregate_scheme.hpp"
 #include "threshold/dlin_scheme.hpp"
+#include "threshold/rlc_fold.hpp"
 #include "threshold/ro_scheme.hpp"
+#include "threshold/scheme_api.hpp"
 
 namespace bnr {
 namespace {
@@ -222,6 +225,7 @@ TEST_F(RoDifferentialSweep, BatchVerifyAgreesWithIndividualVerifies) {
   BNR_LOG_SEED();
   Rng r = trial_rng("batch-verify");
   RoVerifier cached(scheme, km.pk);
+  auto erased = erase_verifier<RoVerifier, Signature>(SchemeId::kRo, cached);
   for (int trial = 0; trial < 30; ++trial) {
     SCOPED_TRACE(trial);
     size_t n = 1 + r.uniform(8);
@@ -238,7 +242,10 @@ TEST_F(RoDifferentialSweep, BatchVerifyAgreesWithIndividualVerifies) {
       msgs.push_back(std::move(m));
       sigs.push_back(s);
     }
-    EXPECT_EQ(cached.batch_verify(msgs, sigs, r), all_valid);
+    std::vector<SigHandle> handles;
+    for (const auto& s : sigs)
+      handles.push_back(erase_signature(SchemeId::kRo, s));
+    EXPECT_EQ(erased->batch_verify(msgs, handles, r), all_valid);
     bool individually = true;
     for (size_t j = 0; j < n; ++j)
       individually = individually && cached.verify(msgs[j], sigs[j]);
@@ -307,6 +314,239 @@ TEST_F(DlinDifferentialSweep, CachedVerifyAgreesWithSchemeVerify) {
     bool uncached = scheme.verify(km.pk, m2, s);
     EXPECT_EQ(uncached, cached.verify(m2, s)) << "mode " << mode;
     EXPECT_EQ(uncached, mode == 0);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The flush fold: one RlcFold over members of many keys and all four
+// schemes, attributed by bisection, must give every member exactly the
+// verdict of its own key's verify.
+
+/// Two keys per scheme (RO, Agg, DLIN, BLS), each with erased handles for
+/// kMsgs messages: valid signatures, the same with one component shifted by
+/// the generator, and the same with an identity component.
+struct FoldKey {
+  SchemeId id{};
+  std::shared_ptr<const PreparedVerifier> verifier;
+  std::vector<SigHandle> valid, tampered, identity;
+};
+
+constexpr size_t kFoldMsgs = 3;
+
+Bytes fold_msg(size_t i) { return to_bytes("fold sweep " + std::to_string(i)); }
+
+G1Affine shifted(const G1Affine& p) {
+  return (G1::from_affine(p) + G1::generator()).to_affine();
+}
+
+const std::vector<FoldKey>& fold_keys() {
+  static const std::vector<FoldKey> keys = [] {
+    SystemParams sp = SystemParams::derive("fold-sweep");
+    Rng rng("fold-sweep-keys");
+    RoScheme ro(sp);
+    AggregateScheme agg(sp);
+    DlinScheme dlin(sp);
+    baselines::BoldyrevaBls bls(sp);
+    std::vector<FoldKey> out;
+    for (int copy = 0; copy < 2; ++copy) {
+      auto rkm = ro.dist_keygen(3, 1, rng);
+      FoldKey k{SchemeId::kRo,
+                erase_verifier<RoVerifier, Signature>(SchemeId::kRo,
+                                                      RoVerifier(ro, rkm.pk)),
+                {}, {}, {}};
+      for (size_t i = 0; i < kFoldMsgs; ++i) {
+        std::vector<PartialSignature> parts;
+        for (uint32_t j = 1; j <= 2; ++j)
+          parts.push_back(ro.share_sign(rkm.shares[j - 1], fold_msg(i)));
+        Signature sig = ro.combine_unchecked(1, parts);
+        Signature bad = sig, id = sig;
+        bad.r = shifted(bad.r);
+        (i % 2 ? id.z : id.r) = G1Affine::identity();
+        k.valid.push_back(erase_signature(SchemeId::kRo, sig));
+        k.tampered.push_back(erase_signature(SchemeId::kRo, bad));
+        k.identity.push_back(erase_signature(SchemeId::kRo, id));
+      }
+      out.push_back(std::move(k));
+    }
+    for (int copy = 0; copy < 2; ++copy) {
+      auto akm = agg.dist_keygen(3, 1, rng);
+      FoldKey k{SchemeId::kAgg,
+                erase_verifier<AggVerifier, Signature>(
+                    SchemeId::kAgg, AggVerifier(agg, akm.pk)),
+                {}, {}, {}};
+      for (size_t i = 0; i < kFoldMsgs; ++i) {
+        std::vector<PartialSignature> parts;
+        for (uint32_t j = 1; j <= 2; ++j)
+          parts.push_back(
+              agg.share_sign(akm.pk, akm.shares[j - 1], fold_msg(i)));
+        Signature sig = ro.combine_unchecked(1, parts);
+        Signature bad = sig, id = sig;
+        bad.z = shifted(bad.z);
+        (i % 2 ? id.r : id.z) = G1Affine::identity();
+        k.valid.push_back(erase_signature(SchemeId::kAgg, sig));
+        k.tampered.push_back(erase_signature(SchemeId::kAgg, bad));
+        k.identity.push_back(erase_signature(SchemeId::kAgg, id));
+      }
+      out.push_back(std::move(k));
+    }
+    for (int copy = 0; copy < 2; ++copy) {
+      auto dkm = dlin.dist_keygen(3, 1, rng);
+      FoldKey k{SchemeId::kDlin,
+                erase_verifier<DlinVerifier, DlinSignature>(
+                    SchemeId::kDlin, DlinVerifier(dlin, dkm.pk)),
+                {}, {}, {}};
+      for (size_t i = 0; i < kFoldMsgs; ++i) {
+        std::vector<DlinPartialSignature> parts;
+        for (uint32_t j = 1; j <= 2; ++j)
+          parts.push_back(dlin.share_sign(dkm.shares[j - 1], fold_msg(i)));
+        DlinSignature sig = dlin.combine(dkm, fold_msg(i), parts);
+        DlinSignature bad = sig, id = sig;
+        bad.u = shifted(bad.u);  // breaks only the second equation
+        id.z = G1Affine::identity();
+        k.valid.push_back(erase_signature(SchemeId::kDlin, sig));
+        k.tampered.push_back(erase_signature(SchemeId::kDlin, bad));
+        k.identity.push_back(erase_signature(SchemeId::kDlin, id));
+      }
+      out.push_back(std::move(k));
+    }
+    for (int copy = 0; copy < 2; ++copy) {
+      auto bkm = bls.dealer_keygen(3, 1, rng);
+      FoldKey k{SchemeId::kBls,
+                erase_verifier<baselines::BlsVerifier, G1Affine>(
+                    SchemeId::kBls, baselines::BlsVerifier(bls, bkm.pk)),
+                {}, {}, {}};
+      for (size_t i = 0; i < kFoldMsgs; ++i) {
+        std::vector<baselines::BlsPartialSignature> parts;
+        for (uint32_t j = 1; j <= 2; ++j)
+          parts.push_back(bls.share_sign(bkm.shares[j - 1], fold_msg(i)));
+        G1Affine sig = bls.combine(bkm, fold_msg(i), parts);
+        k.valid.push_back(erase_signature(SchemeId::kBls, sig));
+        k.tampered.push_back(erase_signature(SchemeId::kBls, shifted(sig)));
+        k.identity.push_back(
+            erase_signature(SchemeId::kBls, G1Affine::identity()));
+      }
+      out.push_back(std::move(k));
+    }
+    return out;
+  }();
+  return keys;
+}
+
+struct FoldMember {
+  const PreparedVerifier* verifier;
+  Bytes msg;
+  SigHandle sig;
+};
+
+/// A member of kind 0 is valid; kinds 1-6 are invalid in distinct ways.
+FoldMember fold_member(size_t key, size_t msg, uint64_t kind) {
+  const auto& keys = fold_keys();
+  const FoldKey& k = keys[key];
+  FoldMember m{k.verifier.get(), fold_msg(msg), k.valid[msg]};
+  switch (kind) {
+    case 1:  // a valid signature presented with another message
+      m.msg = fold_msg((msg + 1) % kFoldMsgs);
+      break;
+    case 2:
+      m.sig = k.tampered[msg];
+      break;
+    case 3:  // valid under the other key of the same scheme
+      m.sig = keys[key ^ 1].valid[msg];
+      break;
+    case 4:
+      m.sig = k.identity[msg];
+      break;
+    case 5:  // a handle of another scheme
+      m.sig = keys[(key + 2) % keys.size()].valid[msg];
+      break;
+    case 6:
+      m.sig = SigHandle{k.id, nullptr};
+      break;
+  }
+  return m;
+}
+
+/// Folds `members` and checks every verdict against the member's own
+/// verify, and the cost of bisection: exact verifies run only at the leaves
+/// of nodes of 2 or 3 members that hold an invalid one, so at most 3 per
+/// invalid member folded.
+void check_fold(const std::vector<FoldMember>& members, Rng& rng) {
+  RlcFold fold;
+  std::vector<size_t> folded;
+  for (size_t j = 0; j < members.size(); ++j)
+    if (fold.add([&](std::vector<FoldTerm>& out) {
+          return members[j].verifier->fold_terms(members[j].msg,
+                                                 members[j].sig, out);
+        }))
+      folded.push_back(j);
+  fold.seal(rng);
+  size_t exact_calls = 0;
+  bool failed = false;
+  auto verdicts = fold.verdicts(
+      [&](size_t i) {
+        ++exact_calls;
+        const FoldMember& m = members[folded[i]];
+        return m.verifier->verify(m.msg, m.sig);
+      },
+      &failed);
+  std::vector<bool> got(members.size(), false);
+  for (size_t i = 0; i < folded.size(); ++i) got[folded[i]] = verdicts[i];
+  size_t bad_folded = 0;
+  for (size_t j = 0, i = 0; j < members.size(); ++j) {
+    const bool expected =
+        members[j].verifier->verify(members[j].msg, members[j].sig);
+    EXPECT_EQ(got[j], expected) << "member " << j;
+    if (i < folded.size() && folded[i] == j) {
+      bad_folded += !expected;
+      ++i;
+    }
+  }
+  EXPECT_EQ(failed, bad_folded > 0);
+  EXPECT_LE(exact_calls, 3 * bad_folded);
+}
+
+TEST(FoldSweep, FlushFoldAgreesWithEveryMembersVerify) {
+  // 16 mixed flushes of 1-64 members over 8 keys of 4 schemes: valid
+  // signatures, swapped messages, tampered components, other tenants'
+  // signatures, identity components, wrong-scheme and null handles, at
+  // invalid rates from none to all.
+  BNR_LOG_SEED();
+  Rng r = trial_rng("flush-fold");
+  const size_t nkeys = fold_keys().size();
+  for (int trial = 0; trial < 16; ++trial) {
+    SCOPED_TRACE(trial);
+    const uint64_t bad_per_64 =
+        std::array<uint64_t, 4>{0, 2, 16, 64}[trial % 4];
+    std::vector<FoldMember> members;
+    size_t n = 1 + r.uniform(64);
+    for (size_t j = 0; j < n; ++j) {
+      uint64_t kind = r.uniform(64) < bad_per_64 ? 1 + r.uniform(6) : 0;
+      members.push_back(
+          fold_member(r.uniform(nkeys), r.uniform(kFoldMsgs), kind));
+    }
+    check_fold(members, r);
+  }
+}
+
+TEST(FoldSweep, BisectionPatterns) {
+  // Flushes of 64 over every key, with the invalid members placed where
+  // bisection has the least and the most to do.
+  BNR_LOG_SEED();
+  Rng r = trial_rng("bisection");
+  const size_t nkeys = fold_keys().size();
+  const std::vector<std::vector<size_t>> patterns = {
+      {}, {0}, {63}, {31, 32}, {}};
+  for (size_t p = 0; p < patterns.size(); ++p) {
+    SCOPED_TRACE(p);
+    const bool all_bad = p + 1 == patterns.size();
+    std::vector<FoldMember> members;
+    for (size_t j = 0; j < 64; ++j) {
+      bool bad = all_bad || std::find(patterns[p].begin(), patterns[p].end(),
+                                      j) != patterns[p].end();
+      members.push_back(fold_member(j % nkeys, r.uniform(kFoldMsgs),
+                                    bad ? 1 + r.uniform(4) : 0));
+    }
+    check_fold(members, r);
   }
 }
 

@@ -35,8 +35,11 @@ EXPERIMENTS = {
            "speedup ratios are CI-gated."),
     "e11": ("Combine and service batching",
             "bench/e11_service.cpp — combine with share verification at "
-            "n=33, t=16 (per-partial vs fold vs cached vs cached+parallel) "
-            "and verification-service throughput with and without batching."),
+            "n=33, t=16 (per-partial vs fold vs cached vs cached+parallel), "
+            "verification-service throughput with and without batching, and "
+            "the flush fold across tenants: 64 members over 16 Zipf(1.0) "
+            "keys vs 64 under one key, single-threaded (the same-run ratio "
+            "is CI-gated at 2.0x)."),
     "e12": ("Multi-tenant cache",
             "bench/e12_multitenant.cpp — hit rate vs throughput at "
             "1k/10k/100k Zipf(1.0) tenant keys under a byte budget, plus "
